@@ -33,9 +33,9 @@ int main() {
     // One warehouse per node: every cross-warehouse access is a genuine
     // remote access, as on the paper's testbed.
     options.warehouses_per_node = 1;
-    options.latency_scale = 4.0;  // keeps remote:local cost ratio at the
+    options.latency_scale = 2.0;  // keeps remote:local cost ratio at the
                                   // hardware level (our emulated local path
-                                  // is ~15x slower than real HTM, so the
+                                  // is ~8x slower than real HTM, so the
                                   // network must scale with it)
     options.duration_ms = duration_ms;
     options.new_order_only = true;

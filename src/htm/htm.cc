@@ -53,22 +53,24 @@ uint64_t LockSlot(std::atomic<uint64_t>* slot) {
   }
 }
 
+// Scratch for one strong access's (slot, version) pairs. Strong accesses
+// run for every simulated RDMA verb and all bulk loading, so they reuse a
+// per-thread buffer rather than allocating. They never nest.
+thread_local std::vector<std::pair<std::atomic<uint64_t>*, uint64_t>>
+    t_strong_lines;
+
+// Initial line-table size: 32 lines before the first doubling.
+constexpr size_t kInitialLines = 64;
+
 }  // namespace
 
 HtmThread::HtmThread(Config config, VersionTable* table)
-    : config_(config), table_(table) {
-  read_set_.reserve(256);
-  write_set_.reserve(64);
+    : config_(config), table_(table), lines_(kInitialLines, Line{}) {
+  read_lines_.reserve(256);
+  write_slots_.reserve(64);
   redo_log_.reserve(64);
   redo_data_.reserve(4096);
-  size_t lines = std::min(config_.probe_batch_lines, kMaxProbeCache);
-  while (lines & (lines - 1)) {
-    lines &= lines - 1;  // round down to a power of two
-  }
-  probe_mask_ = lines >= 2 ? lines - 1 : 0;
-  if (config_.commit_write_combining) {
-    wc_slots_.reserve(64);
-  }
+  locked_.reserve(64);
 }
 
 HtmThread::~HtmThread() {
@@ -85,12 +87,12 @@ void HtmThread::Begin() {
   assert(g_current_tx == nullptr && "another HtmThread active on this thread");
   depth_ = 1;
   g_current_tx = this;
-  ++epoch_;  // invalidates both probe caches without touching them
-  read_set_.clear();
-  write_set_.clear();
+  ++epoch_;  // empties the line table without touching it
+  live_lines_ = 0;
+  read_lines_.clear();
+  write_slots_.clear();
   redo_log_.clear();
   redo_data_.clear();
-  wc_slots_.clear();
 }
 
 void HtmThread::AbortWith(unsigned status) { throw AbortException{status}; }
@@ -115,32 +117,49 @@ void HtmThread::Rollback(unsigned status) {
     ++stats_.aborts_conflict;
   }
   stat::RecordHtmOutcome(status);
-  read_set_.clear();
-  write_set_.clear();
-  redo_log_.clear();
-  redo_data_.clear();
-  wc_slots_.clear();
+}
+
+HtmThread::Line& HtmThread::LineFor(std::atomic<uint64_t>* slot) {
+  const uint64_t live = epoch_ << 2;
+  while (true) {
+    // Slot addresses are already hashed by the version table.
+    const size_t mask = lines_.size() - 1;
+    size_t i = (reinterpret_cast<uintptr_t>(slot) >> 3) & mask;
+    for (;; i = (i + 1) & mask) {
+      Line& line = lines_[i];
+      if ((line.tag & ~(kLineRead | kLineWritten)) != live) {
+        break;
+      }
+      if (line.slot == slot) {
+        return line;
+      }
+    }
+    if (2 * (live_lines_ + 1) <= lines_.size()) {
+      ++live_lines_;
+      lines_[i] = Line{slot, 0, live};
+      return lines_[i];
+    }
+    GrowLines();
+  }
+}
+
+void HtmThread::GrowLines() {
+  std::vector<Line> old(2 * lines_.size(), Line{});
+  old.swap(lines_);
+  live_lines_ = 0;
+  for (const Line& line : old) {
+    if ((line.tag >> 2) == epoch_) {
+      LineFor(line.slot) = line;
+    }
+  }
 }
 
 void HtmThread::TrackRead(const void* addr, size_t len) {
   ForEachLineSlot(table_, addr, len, [&](std::atomic<uint64_t>* slot) {
-    ReadProbe* probe = nullptr;
-    if (probe_mask_ != 0) {
-      probe = &read_probe_[ProbeIndex(slot)];
-      if (probe->slot == slot && probe->epoch == epoch_) {
-        // Region-batched hit: this line was probed moments ago; skip the
-        // read-set map entirely. Freshness is still verified by the
-        // post-copy check in Read() and by commit validation.
-        return;
-      }
-    }
-    auto it = read_set_.find(slot);
-    if (it != read_set_.end()) {
+    Line& line = LineFor(slot);
+    if (line.tag & kLineRead) {
       // Already tracked; freshness is verified by the post-copy check in
       // Read() and by commit validation.
-      if (probe != nullptr) {
-        *probe = ReadProbe{slot, it->second, epoch_};
-      }
       return;
     }
     uint64_t v = slot->load(std::memory_order_acquire);
@@ -151,13 +170,12 @@ void HtmThread::TrackRead(const void* addr, size_t len) {
       }
       v = slot->load(std::memory_order_acquire);
     }
-    if (read_set_.size() >= config_.max_read_lines) {
+    if (read_lines_.size() >= config_.max_read_lines) {
       AbortWith(kAbortCapacity);
     }
-    read_set_.emplace(slot, v);
-    if (probe != nullptr) {
-      *probe = ReadProbe{slot, v, epoch_};
-    }
+    line.version = v;
+    line.tag |= kLineRead;
+    read_lines_.emplace_back(slot, v);
   });
 }
 
@@ -172,21 +190,19 @@ void HtmThread::Read(void* dst, const void* src, size_t len) {
   std::atomic_thread_fence(std::memory_order_acquire);
   // Seqlock re-check: every line must still carry the version this
   // transaction first observed, otherwise a concurrent commit or strong
-  // write raced with the copy.
+  // write raced with the copy. The same lookup tells whether the region
+  // has written any of these lines.
+  bool written = false;
   ForEachLineSlot(table_, src, len, [&](std::atomic<uint64_t>* slot) {
-    uint64_t recorded;
-    if (probe_mask_ != 0) {
-      const ReadProbe& probe = read_probe_[ProbeIndex(slot)];
-      recorded = (probe.slot == slot && probe.epoch == epoch_)
-                     ? probe.version
-                     : read_set_.find(slot)->second;
-    } else {
-      recorded = read_set_.find(slot)->second;
-    }
-    if (slot->load(std::memory_order_acquire) != recorded) {
+    const Line& line = LineFor(slot);
+    if (slot->load(std::memory_order_acquire) != line.version) {
       AbortWith(kAbortConflict | kAbortRetry);
     }
+    written |= (line.tag & kLineWritten) != 0;
   });
+  if (!written) {
+    return;
+  }
   // Read-your-writes: overlay buffered writes, in program order.
   const uintptr_t lo = reinterpret_cast<uintptr_t>(src);
   const uintptr_t hi = lo + len;
@@ -209,35 +225,21 @@ void HtmThread::Write(void* dst, const void* src, size_t len) {
     return;
   }
   ForEachLineSlot(table_, dst, len, [&](std::atomic<uint64_t>* slot) {
-    WriteProbe* probe = nullptr;
-    if (probe_mask_ != 0) {
-      probe = &write_probe_[ProbeIndex(slot)];
-      if (probe->slot == slot && probe->epoch == epoch_) {
-        return;  // region-batched hit: line already in the write set
-      }
-    }
-    if (write_set_.find(slot) != write_set_.end()) {
-      if (probe != nullptr) {
-        *probe = WriteProbe{slot, epoch_};
-      }
+    Line& line = LineFor(slot);
+    if (line.tag & kLineWritten) {
       return;
     }
-    if (write_set_.size() >= config_.max_write_lines) {
+    if (write_slots_.size() >= config_.max_write_lines) {
       AbortWith(kAbortCapacity);
     }
-    write_set_.emplace(slot, 0);
-    if (config_.commit_write_combining) {
-      wc_slots_.push_back(slot);
-    }
-    if (probe != nullptr) {
-      *probe = WriteProbe{slot, epoch_};
-    }
+    line.tag |= kLineWritten;
+    write_slots_.push_back(slot);
   });
-  if (config_.commit_write_combining && !redo_log_.empty()) {
-    // Write-combining: a byte-adjacent append (the common pattern when a
-    // large value is written as consecutive slices) extends the previous
-    // redo entry instead of growing the log. Program order is preserved —
-    // only the latest entry ever extends.
+  if (!redo_log_.empty()) {
+    // Coalescing: a byte-adjacent append (the common pattern when a large
+    // value is written as consecutive slices) extends the previous redo
+    // entry instead of growing the log. Program order is preserved — only
+    // the latest entry ever extends.
     RedoEntry& last = redo_log_.back();
     if (last.dst + last.len == reinterpret_cast<uintptr_t>(dst) &&
         last.offset + last.len == redo_data_.size()) {
@@ -261,74 +263,41 @@ void HtmThread::Commit() {
     --depth_;
     return;
   }
-
-  // Phase 1: lock write lines in global (slot-address) order. With write
-  // combining on, the insertion-ordered wc_slots_ buffer (deduplicated at
-  // insert) replaces a full re-enumeration of the write-set map — one pass
-  // over the seqlock table per commit, à la mem-order's seqbatch recorder.
-  std::vector<std::pair<std::atomic<uint64_t>*, uint64_t>> locked;
-  locked.reserve(write_set_.size());
-  {
-    std::vector<std::atomic<uint64_t>*> rebuilt;
-    if (!config_.commit_write_combining) {
-      rebuilt.reserve(write_set_.size());
-      for (const auto& [slot, unused] : write_set_) {
-        rebuilt.push_back(slot);
-      }
-    }
-    std::vector<std::atomic<uint64_t>*>& slots =
-        config_.commit_write_combining ? wc_slots_ : rebuilt;
-    std::sort(slots.begin(), slots.end());
-    for (std::atomic<uint64_t>* slot : slots) {
-      int spins = 0;
-      while (true) {
-        uint64_t v = slot->load(std::memory_order_acquire);
-        if (!VersionTable::IsLocked(v) &&
-            slot->compare_exchange_weak(v, v + 1,
-                                        std::memory_order_acq_rel)) {
-          locked.emplace_back(slot, v);
-          break;
-        }
-        if (++spins > config_.lock_spin_limit) {
-          for (auto& [held, base] : locked) {
-            held->store(base, std::memory_order_release);
-          }
-          AbortWith(kAbortConflict | kAbortRetry);
-        }
-      }
-    }
-  }
-
-  // Phase 2: validate the read set against the snapshot versions.
-  // `locked` was filled in sorted slot order, so the locked-by-us lookup
-  // is a binary search — a read-write transaction touching W lines would
-  // otherwise pay O(W) per overlapping read line (quadratic for the
-  // sliced bulk writes the chop planner emits, whose read and write sets
-  // largely coincide).
-  bool valid = true;
-  for (const auto& [slot, recorded] : read_set_) {
-    uint64_t current = slot->load(std::memory_order_acquire);
-    if (VersionTable::IsLocked(current)) {
-      // Locked by us? Then its pre-lock base must match what we read.
-      auto it = std::lower_bound(
-          locked.begin(), locked.end(), slot,
-          [](const auto& p, const std::atomic<uint64_t>* s) {
-            return p.first < s;
-          });
-      if (it == locked.end() || it->first != slot || it->second != recorded) {
-        valid = false;
-        break;
-      }
-    } else if (current != recorded) {
-      valid = false;
-      break;
-    }
-  }
-  if (!valid) {
-    for (auto& [slot, base] : locked) {
-      slot->store(base, std::memory_order_release);
+  auto unlock_and_abort = [this]() {
+    for (auto& [held, base] : locked_) {
+      held->store(base, std::memory_order_release);
     }
     AbortWith(kAbortConflict | kAbortRetry);
+  };
+
+  // Phase 1: lock the written lines in global (slot-address) order.
+  std::sort(write_slots_.begin(), write_slots_.end());
+  locked_.clear();
+  for (std::atomic<uint64_t>* slot : write_slots_) {
+    int spins = 0;
+    while (true) {
+      uint64_t v = slot->load(std::memory_order_acquire);
+      if (!VersionTable::IsLocked(v) &&
+          slot->compare_exchange_weak(v, v + 1, std::memory_order_acq_rel)) {
+        locked_.emplace_back(slot, v);
+        break;
+      }
+      if (++spins > config_.lock_spin_limit) {
+        unlock_and_abort();
+      }
+    }
+  }
+
+  // Phase 2: validate the read lines against their first-read versions.
+  // A line this region locked now reads base + 1, and it is valid iff
+  // that pre-lock base is the version it first read; a line locked by
+  // anyone else, or moved on, is a conflict.
+  for (const auto& [slot, recorded] : read_lines_) {
+    const uint64_t current = slot->load(std::memory_order_acquire);
+    if (current != recorded &&
+        !(current == recorded + 1 && (LineFor(slot).tag & kLineWritten))) {
+      unlock_and_abort();
+    }
   }
 
   // Phase 3: install buffered writes, then release with a version bump.
@@ -339,19 +308,18 @@ void HtmThread::Commit() {
   }
   std::atomic_thread_fence(std::memory_order_release);
   if (g_replay_armed.load(std::memory_order_relaxed) &&
-      g_replay_hooks.on_publish != nullptr && !locked.empty()) {
+      g_replay_hooks.on_publish != nullptr && !locked_.empty()) {
     // Inside the critical section (slots still locked): the hook's
     // observation order is the serialization order of conflicting
     // commits. Read-only regions (no locked lines) publish nothing.
-    std::vector<PublishedLine> lines;
-    lines.reserve(locked.size());
-    for (const auto& [slot, base] : locked) {
-      lines.push_back(PublishedLine{
+    published_.clear();
+    for (const auto& [slot, base] : locked_) {
+      published_.push_back(PublishedLine{
           static_cast<uint32_t>(table_->IndexOf(slot)), base + 2});
     }
-    g_replay_hooks.on_publish(lines.data(), lines.size(), table_);
+    g_replay_hooks.on_publish(published_.data(), published_.size(), table_);
   }
-  for (auto& [slot, base] : locked) {
+  for (auto& [slot, base] : locked_) {
     slot->store(base + 2, std::memory_order_release);
   }
 
@@ -359,11 +327,6 @@ void HtmThread::Commit() {
   stat::RecordHtmOutcome(kCommitted);
   depth_ = 0;
   g_current_tx = nullptr;
-  read_set_.clear();
-  write_set_.clear();
-  redo_log_.clear();
-  redo_data_.clear();
-  wc_slots_.clear();
 }
 
 void SetReplayHooks(const ReplayHooks& hooks) {
@@ -393,7 +356,7 @@ void StrongRead(void* dst, const void* src, size_t len, VersionTable* table) {
   if (len == 0) {
     return;
   }
-  std::vector<std::pair<std::atomic<uint64_t>*, uint64_t>> observed;
+  auto& observed = t_strong_lines;
   while (true) {
     observed.clear();
     ForEachLineSlot(table, src, len, [&](std::atomic<uint64_t>* slot) {
@@ -423,22 +386,22 @@ void StrongWrite(void* dst, const void* src, size_t len, VersionTable* table) {
   if (len == 0) {
     return;
   }
-  std::vector<std::atomic<uint64_t>*> slots;
+  // (slot, pre-lock base), locked in sorted slot order.
+  auto& locked = t_strong_lines;
+  locked.clear();
   ForEachLineSlot(table, dst, len, [&](std::atomic<uint64_t>* slot) {
-    slots.push_back(slot);
+    locked.emplace_back(slot, 0);
   });
-  std::sort(slots.begin(), slots.end());
-  slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
-  std::vector<uint64_t> bases;
-  bases.reserve(slots.size());
-  for (std::atomic<uint64_t>* slot : slots) {
-    bases.push_back(LockSlot(slot));
+  std::sort(locked.begin(), locked.end());
+  locked.erase(std::unique(locked.begin(), locked.end()), locked.end());
+  for (auto& [slot, base] : locked) {
+    base = LockSlot(slot);
   }
   std::atomic_thread_fence(std::memory_order_release);
   std::memcpy(dst, src, len);
   std::atomic_thread_fence(std::memory_order_release);
-  for (size_t i = 0; i < slots.size(); ++i) {
-    slots[i]->store(bases[i] + 2, std::memory_order_release);
+  for (const auto& [slot, base] : locked) {
+    slot->store(base + 2, std::memory_order_release);
   }
 }
 

@@ -18,6 +18,16 @@
 //      aborts eagerly; aborting at validation is observationally
 //      equivalent — the doomed transaction can never commit.)
 //
+// Per-region bookkeeping is one flat, open-addressed line table per
+// thread, keyed by version-table slot: each entry carries the version
+// first read plus a read bit and a written bit, and is tagged with the
+// region's epoch so Begin() empties the table in O(1). A read overlays
+// the redo log (read-your-writes) only when one of its lines carries the
+// written bit, which the post-copy seqlock check looks up anyway; reads
+// of lines the region never wrote skip the log entirely. Commit locks the
+// insertion-ordered written slots in sorted order and validates the dense
+// list of read lines.
+//
 // The status word follows the RTM layout: kCommitted on success,
 // otherwise an OR of abort cause bits with the XABORT user code in bits
 // 31:24.
@@ -27,7 +37,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/htm/version_table.h"
@@ -47,23 +57,14 @@ inline constexpr unsigned kCommitted = ~0u;
 inline unsigned AbortUserCode(unsigned status) { return (status >> 24) & 0xff; }
 
 struct Config {
-  // Distinct cache lines trackable before a capacity abort. The defaults
-  // mirror a 32 KB L1 write set and a larger read-set tracking structure.
+  // Distinct cache lines trackable before a capacity abort, counted as
+  // line-table entries with the written bit and with the read bit (a line
+  // both read and written counts against both). The defaults mirror a
+  // 32 KB L1 write set and a larger read-set tracking structure.
   size_t max_write_lines = 512;
   size_t max_read_lines = 8192;
   // Bounded spin (iterations) on a locked line before declaring conflict.
   int lock_spin_limit = 256;
-  // Region batching (mem-order's RTM_BATCH_N idiom): a direct-mapped
-  // per-thread cache of recently probed version-table slots, so a run of
-  // accesses to the same lines pays one read/write-set map probe per
-  // ~batch instead of one per access. Rounded down to a power of two,
-  // clamped to 64; 0 disables the cache.
-  size_t probe_batch_lines = 8;
-  // Commit-time write combining (mem-order's seqbatch idiom): slots are
-  // appended to a per-thread buffer as they first enter the write set, so
-  // commit walks that buffer in one pass instead of re-enumerating the
-  // write-set map, and byte-adjacent redo appends coalesce into one entry.
-  bool commit_write_combining = true;
 };
 
 struct Stats {
@@ -89,6 +90,8 @@ struct Stats {
 struct AbortException {
   unsigned status;
 };
+
+struct PublishedLine;  // replay seam, defined below
 
 class HtmThread {
  public:
@@ -183,48 +186,49 @@ class HtmThread {
   void Rollback(unsigned status);
   [[noreturn]] void AbortWith(unsigned status);
 
-  // Tracks the lines of [addr, addr+len) in the read set, verifying a
-  // stable snapshot. Aborts on conflict/capacity.
-  void TrackRead(const void* addr, size_t len);
+  // One line-table entry: a version-table slot the region has read
+  // and/or written. `tag` is epoch_ << 2 | kLineRead | kLineWritten; an
+  // entry whose epoch is not the current one is empty.
+  struct Line {
+    std::atomic<uint64_t>* slot;
+    uint64_t version;  // seqlock version at first read (kLineRead only)
+    uint64_t tag;
+  };
+  static constexpr uint64_t kLineRead = 1;
+  static constexpr uint64_t kLineWritten = 2;
 
-  // Direct-mapped probe-cache index for a slot (valid iff probe_mask_ != 0).
-  size_t ProbeIndex(const std::atomic<uint64_t>* slot) const {
-    return (reinterpret_cast<uintptr_t>(slot) >> 3) & probe_mask_;
-  }
+  // Returns the region's entry for slot, inserting an empty one (neither
+  // bit set) if absent. The reference is valid until the next insert.
+  Line& LineFor(std::atomic<uint64_t>* slot);
+  // Doubles the table, rehashing the current region's entries.
+  void GrowLines();
+
+  // Tracks the lines of [addr, addr+len) in the read set, waiting out a
+  // locked line. Aborts on conflict/capacity.
+  void TrackRead(const void* addr, size_t len);
 
   Config config_;
   VersionTable* table_;
   int depth_ = 0;
   Stats stats_;
+  uint64_t epoch_ = 0;  // bumped by Begin(); tags live line-table entries
 
-  // slot -> version observed at first read.
-  std::unordered_map<std::atomic<uint64_t>*, uint64_t> read_set_;
-  // slot -> version observed when the line first entered the write set
-  // (used to validate read-after-write lines at commit).
-  std::unordered_map<std::atomic<uint64_t>*, uint64_t> write_set_;
+  // The line table: a power-of-two size kept at most half full.
+  std::vector<Line> lines_;
+  size_t live_lines_ = 0;  // entries tagged with epoch_
+  // (slot, version first read) of every read line, for commit validation;
+  // its size is the read-set size.
+  std::vector<std::pair<std::atomic<uint64_t>*, uint64_t>> read_lines_;
+  // Written slots in insertion order (deduplicated by the written bit),
+  // sorted and locked by Commit; its size is the write-set size.
+  std::vector<std::atomic<uint64_t>*> write_slots_;
   std::vector<RedoEntry> redo_log_;
   std::vector<uint8_t> redo_data_;
-
-  // Region-batching probe caches (Config::probe_batch_lines). Entries are
-  // epoch-tagged so Begin() invalidates them without a clear pass.
-  struct ReadProbe {
-    std::atomic<uint64_t>* slot = nullptr;
-    uint64_t version = 0;
-    uint64_t epoch = 0;
-  };
-  struct WriteProbe {
-    std::atomic<uint64_t>* slot = nullptr;
-    uint64_t epoch = 0;
-  };
-  static constexpr size_t kMaxProbeCache = 64;
-  size_t probe_mask_ = 0;  // 0 => caches disabled
-  uint64_t epoch_ = 0;
-  ReadProbe read_probe_[kMaxProbeCache];
-  WriteProbe write_probe_[kMaxProbeCache];
-
-  // Write-combining buffer (Config::commit_write_combining): every slot in
-  // insertion order, deduplicated at insert, consumed by Commit in one pass.
-  std::vector<std::atomic<uint64_t>*> wc_slots_;
+  // Commit scratch, kept across regions so commits do not allocate:
+  // (slot, pre-lock base) of every locked line, and the replay hook's
+  // published lines.
+  std::vector<std::pair<std::atomic<uint64_t>*, uint64_t>> locked_;
+  std::vector<PublishedLine> published_;
 };
 
 // --- Replay hooks -----------------------------------------------------------

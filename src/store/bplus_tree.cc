@@ -46,8 +46,12 @@ BPlusTree::BPlusTree(const Config& config) : config_(config) {
                 (internal_payload > leaf_payload ? internal_payload
                                                  : leaf_payload);
   node_bytes_ = (node_bytes_ + 63) & ~size_t{63};
-  pool_ = std::make_unique<uint8_t[]>(kControlBytes +
-                                      node_bytes_ * config.max_nodes);
+  // Only the control block starts zeroed. AllocateNode writes a node's
+  // header and every key, child and value is stored before it is read, so
+  // node memory is left untouched until handed out: a pool costs resident
+  // memory for the nodes in use, not for max_nodes.
+  pool_ = std::make_unique_for_overwrite<uint8_t[]>(
+      kControlBytes + node_bytes_ * config.max_nodes);
   std::memset(pool_.get(), 0, kControlBytes);
 }
 

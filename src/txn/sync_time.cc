@@ -45,6 +45,10 @@ void SyncTime::Start() {
   if (running_.exchange(true)) {
     return;
   }
+  // Cluster construction can take tens of milliseconds after the
+  // constructor's publish; refresh the word before returning so the
+  // first transactions do not take leases against a stale clock.
+  PublishNow();
   timer_ = std::thread([this] {
     while (running_.load(std::memory_order_acquire)) {
       PublishNow();

@@ -145,24 +145,31 @@ TpccDb::TpccDb(txn::Cluster* cluster, const Params& params)
     };
   };
 
+  // The order tables only grow: Remove leaves emptied leaves in the chain
+  // and the node pool is a bump allocator, so each pool must hold every
+  // row a run inserts. An exhausted order-line pool fails new-order's
+  // insert piece, deliveries then drain new-order, and their scans walk an
+  // ever longer empty leaf chain until every attempt hits the read
+  // capacity. The pools are sized for several times the ~100k orders per
+  // node a 20 s run inserts at ~20k tps; untouched nodes cost no memory.
   txn::TableSpec ordered;
   ordered.ordered = true;
   ordered.value_size = sizeof(OrderRow);
-  ordered.max_nodes = 1 << 15;
+  ordered.max_nodes = 1 << 17;
   ordered.partition = ordered_by_district(32);
   order_ = cluster->AddTable(ordered);
 
   ordered = txn::TableSpec();
   ordered.ordered = true;
   ordered.value_size = sizeof(NewOrderRow);
-  ordered.max_nodes = 1 << 14;
+  ordered.max_nodes = 1 << 16;
   ordered.partition = ordered_by_district(32);
   new_order_ = cluster->AddTable(ordered);
 
   ordered = txn::TableSpec();
   ordered.ordered = true;
   ordered.value_size = sizeof(OrderLineRow);
-  ordered.max_nodes = 1 << 17;
+  ordered.max_nodes = 1 << 19;
   ordered.partition = ordered_by_district(36);
   order_line_ = cluster->AddTable(ordered);
 
@@ -176,7 +183,7 @@ TpccDb::TpccDb(txn::Cluster* cluster, const Params& params)
   ordered = txn::TableSpec();
   ordered.ordered = true;
   ordered.value_size = 8;  // presence marker
-  ordered.max_nodes = 1 << 15;
+  ordered.max_nodes = 1 << 17;
   // key = (customer_key << 24) | o_id; customer_key >> 20 = district key.
   ordered.partition = [by_warehouse](uint64_t key) {
     return by_warehouse(((key >> 24) >> 20) / kDistrictsPerWarehouse);

@@ -123,6 +123,19 @@ TEST_F(DynamicReadTest, FallbackDynamicReadsConsistentWithWriters) {
   config.htm_retry_limit = 0;
   config.lease_rw_us = 2000;
   SetUpCluster(config);
+  {
+    // SetUpCluster seeds key k with 10 * k; make the pair equal before
+    // the reader starts, or its first reads see the seed values.
+    Worker init(cluster_.get(), 0, 0);
+    Transaction txn(&init);
+    txn.AddWrite(table_, 0);
+    txn.AddWrite(table_, 2);
+    const uint64_t zero = 0;
+    ASSERT_EQ(txn.Run([&](Transaction& t) {
+      return t.Write(table_, 0, &zero) && t.Write(table_, 2, &zero);
+    }),
+              TxnStatus::kCommitted);
+  }
   std::atomic<bool> stop{false};
   std::atomic<bool> torn{false};
 

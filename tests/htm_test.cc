@@ -374,6 +374,115 @@ TEST(Htm, AbortStatusContainsRetryBitOnConflict) {
   EXPECT_TRUE(status & kAbortRetry);
 }
 
+// Reads overlay the redo log only for lines carrying the line table's
+// written bit. A line read before it was written must pick the bit up on
+// its existing entry, or the second read would return stale memory.
+TEST(Htm, ReadWriteReadSeesBufferedBytes) {
+  alignas(64) static uint64_t value = 0;
+  value = 3;
+  HtmThread htm;
+  const unsigned status = htm.Transact([&] {
+    EXPECT_EQ(htm.Load(&value), 3u);
+    htm.Store(&value, uint64_t{4});
+    EXPECT_EQ(htm.Load(&value), 4u);
+  });
+  EXPECT_EQ(status, kCommitted);
+  EXPECT_EQ(value, 4u);
+}
+
+// With many buffered writes, a read of a line the region never wrote
+// returns committed memory, and a written line still reads its buffer.
+TEST(Htm, UnwrittenLineReadsCommittedMemoryAmidBufferedWrites) {
+  struct alignas(64) Padded {
+    uint64_t v;
+  };
+  std::vector<Padded> lines(201);
+  for (size_t i = 0; i < lines.size(); ++i) {
+    lines[i].v = 1000 + i;
+  }
+  HtmThread htm;
+  const unsigned status = htm.Transact([&] {
+    for (size_t i = 0; i < 200; ++i) {
+      htm.Store(&lines[i].v, uint64_t{i});
+    }
+    EXPECT_EQ(htm.Load(&lines[200].v), 1200u);
+    EXPECT_EQ(htm.Load(&lines[7].v), 7u);
+  });
+  EXPECT_EQ(status, kCommitted);
+  EXPECT_EQ(lines[7].v, 7u);
+  EXPECT_EQ(lines[200].v, 1200u);
+}
+
+// A region far larger than the line table's initial size: the table
+// grows mid-region without losing the lines tracked before the growth.
+TEST(Htm, RegionGrowsPastInitialLineTable) {
+  struct alignas(64) Padded {
+    uint64_t v;
+  };
+  constexpr size_t kReadLines = 4096;
+  constexpr size_t kWriteLines = 256;
+  std::vector<Padded> lines(kReadLines);
+  auto body = [&](HtmThread& htm) {
+    uint64_t sum = 0;
+    for (size_t i = 0; i < kReadLines; ++i) {
+      sum += htm.Load(&lines[i].v);
+    }
+    for (size_t i = 0; i < kWriteLines; ++i) {
+      htm.Store(&lines[kReadLines / 2 + i].v, sum + 1);
+    }
+  };
+  HtmThread htm;
+  EXPECT_EQ(htm.Transact([&] { body(htm); }), kCommitted);
+  EXPECT_EQ(lines[kReadLines / 2].v, 1u);
+  EXPECT_EQ(lines[kReadLines / 2 + kWriteLines - 1].v, 1u);
+
+  // The same region on a fresh thread (so its table grows again), but a
+  // strong write hits its first read line before commit. That line's
+  // entry kept its first-read version through the growth, so re-reading
+  // it aborts on the spot.
+  HtmThread fresh;
+  bool read_past_conflict = false;
+  const unsigned status = fresh.Transact([&] {
+    body(fresh);
+    StrongStore(&lines[0].v, uint64_t{5});
+    (void)fresh.Load(&lines[0].v);
+    read_past_conflict = true;
+  });
+  EXPECT_TRUE(status & kAbortConflict);
+  EXPECT_FALSE(read_past_conflict);
+  EXPECT_EQ(lines[kReadLines / 2].v, 1u) << "aborted writes must not land";
+  EXPECT_EQ(lines[0].v, 5u);
+}
+
+// An aborted region's line-table entries, read versions and written bits
+// die with it: a later region re-reads the line at its new version and
+// sees committed memory rather than the aborted region's buffer.
+TEST(Htm, AbortedRegionBookkeepingDoesNotLeak) {
+  struct alignas(64) Padded {
+    uint64_t v;
+  };
+  static Padded read_line, written_line;
+  read_line.v = 1;
+  written_line.v = 2;
+  HtmThread htm;
+  const unsigned aborted = htm.Transact([&] {
+    (void)htm.Load(&read_line.v);
+    htm.Store(&written_line.v, uint64_t{99});
+    htm.Abort(7);
+  });
+  EXPECT_TRUE(aborted & kAbortExplicit);
+  StrongStore(&read_line.v, uint64_t{10});
+  uint64_t seen_read = 0;
+  uint64_t seen_written = 0;
+  const unsigned status = htm.Transact([&] {
+    seen_read = htm.Load(&read_line.v);
+    seen_written = htm.Load(&written_line.v);
+  });
+  EXPECT_EQ(status, kCommitted);
+  EXPECT_EQ(seen_read, 10u);
+  EXPECT_EQ(seen_written, 2u);
+}
+
 TEST(Htm, StatsAccumulate) {
   alignas(64) static uint64_t value = 0;
   HtmThread htm;
