@@ -1,7 +1,6 @@
 #include "src/stat/metrics.h"
 
 #include <cassert>
-#include <cstdio>
 
 namespace drtm {
 namespace stat {
@@ -177,56 +176,6 @@ size_t Registry::num_timers() const {
 size_t Registry::num_gauges() const {
   std::lock_guard<std::mutex> lock(mu_);
   return gauge_names_.size();
-}
-
-namespace {
-
-std::string PromName(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    if (c == '.' || c == '-') {
-      c = '_';
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string ExportPrometheus(const Snapshot& snapshot) {
-  std::string out;
-  char line[256];
-  for (const auto& [name, value] : snapshot.counters) {
-    const std::string prom = PromName(name);
-    std::snprintf(line, sizeof(line), "# TYPE %s counter\n%s %llu\n",
-                  prom.c_str(), prom.c_str(),
-                  static_cast<unsigned long long>(value));
-    out += line;
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    const std::string prom = PromName(name);
-    std::snprintf(line, sizeof(line), "# TYPE %s gauge\n%s %lld\n",
-                  prom.c_str(), prom.c_str(),
-                  static_cast<long long>(value));
-    out += line;
-  }
-  for (const auto& [name, hist] : snapshot.histograms) {
-    const std::string prom = PromName(name);
-    std::snprintf(line, sizeof(line), "# TYPE %s summary\n", prom.c_str());
-    out += line;
-    for (const double q : {0.5, 0.9, 0.99}) {
-      std::snprintf(line, sizeof(line), "%s{quantile=\"%g\"} %llu\n",
-                    prom.c_str(), q,
-                    static_cast<unsigned long long>(
-                        hist.Percentile(q * 100.0)));
-      out += line;
-    }
-    std::snprintf(line, sizeof(line), "%s_sum %.0f\n%s_count %llu\n",
-                  prom.c_str(), hist.Mean() * static_cast<double>(hist.count()),
-                  prom.c_str(), static_cast<unsigned long long>(hist.count()));
-    out += line;
-  }
-  return out;
 }
 
 }  // namespace stat

@@ -144,11 +144,6 @@ class Registry {
   std::array<PaddedGauge, kMaxGauges> gauges_;
 };
 
-// Renders a snapshot in the Prometheus text exposition format
-// (counters as "# TYPE x counter", histograms as summaries with
-// quantile labels). Metric names have '.' mapped to '_'.
-std::string ExportPrometheus(const Snapshot& snapshot);
-
 }  // namespace stat
 }  // namespace drtm
 

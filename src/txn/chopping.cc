@@ -15,40 +15,13 @@ struct ChopInfo {
   uint32_t total;
 };
 
-// Chain markers that could not be made durable (see AppendChopMarker's
-// give-up conditions) — each one is a chain that aborted mid-way or
-// completed without its {total, total} record.
+// Chain markers that could not be made durable even after riding out a
+// full segment (NvramLog::AppendOutsideHtm) — each one is a chain that
+// aborted mid-way or completed without its {total, total} record.
 uint32_t MarkerDroppedId() {
   static const uint32_t id =
       stat::Registry::Global().CounterId("txn.chop.marker_dropped");
   return id;
-}
-
-// Appends a chain marker, riding out a full segment: each retry drains
-// the flush pipeline (so the durability frontier catches up with the
-// sealed frontier) and reclaims completed epochs before trying again.
-// Gives up only when the segment stays full with the pipeline fully
-// drained — the leading epochs then carry obligations of unfinished
-// transactions (this chain's own lock-ahead among them), which no
-// amount of waiting clears — or when chaos injection fails the append
-// itself (a modeled op failure, not reclaimable).
-bool AppendChopMarker(NvramLog* log, int worker, uint64_t chain_id,
-                      const ChopInfo& info) {
-  // One drained-and-reclaimed retry observes the steady state; the
-  // extra rounds ride out chaos-delayed seals and dropped doorbells.
-  constexpr int kDrainRetries = 3;
-  for (int attempt = 0;; ++attempt) {
-    const AppendStatus status = log->TryAppend(worker, LogType::kChopInfo,
-                                               chain_id, &info, sizeof(info));
-    if (status == AppendStatus::kOk) {
-      return true;
-    }
-    if (status == AppendStatus::kFaulted || attempt >= kDrainRetries) {
-      return false;
-    }
-    log->DrainFlushes(worker);
-    log->ReclaimSpace(worker);
-  }
 }
 
 }  // namespace
@@ -86,7 +59,9 @@ TxnStatus ChoppedTransaction::RunFrom(Worker* worker, size_t first_piece) {
         const ChopInfo info{static_cast<uint32_t>(i),
                             static_cast<uint32_t>(pieces_.size())};
         NvramLog* log = cluster.log(worker->node());
-        if (!AppendChopMarker(log, worker->worker_id(), chain_id, info)) {
+        if (log->AppendOutsideHtm(worker->worker_id(), LogType::kChopInfo,
+                                  chain_id, &info,
+                                  sizeof(info)) != AppendStatus::kOk) {
           // No resume marker can be made durable even with the flush
           // pipeline drained and every completed epoch reclaimed. Never
           // keep the chain locks on a live node — no caller resumes an
@@ -97,7 +72,7 @@ TxnStatus ChoppedTransaction::RunFrom(Worker* worker, size_t first_piece) {
           // tolerate — the same idempotence contract recovery's resume
           // path relies on.
           stat::Registry::Global().Add(MarkerDroppedId());
-          ReleaseChainLocks(worker, &chain_locks_);
+          AbortChain(worker, chain_id, &chain_locks_);
           return TxnStatus::kAborted;
         }
         // The resume marker must be recoverable before the piece makes any
@@ -115,20 +90,20 @@ TxnStatus ChoppedTransaction::RunFrom(Worker* worker, size_t first_piece) {
       txn.MarkChainLocked(lock.table, lock.key);
     }
     const TxnStatus status = txn.Run(pieces_[i].body);
-    if (status == TxnStatus::kUserAbort) {
-      assert(i == 0 &&
-             "only the first piece of a chopped transaction may user-abort");
-      ReleaseChainLocks(worker, &chain_locks_);
+    assert((status != TxnStatus::kUserAbort || i == 0) &&
+           "only the first piece of a chopped transaction may user-abort");
+    if (status == TxnStatus::kUserAbort ||
+        (i == first_piece && status == TxnStatus::kAborted)) {
+      // Nothing from this (possibly resumed) chain segment committed;
+      // release so the caller can retry the chain from scratch.
+      if (chained) {
+        AbortChain(worker, chain_id, &chain_locks_);
+      }
       return status;
     }
     if (status != TxnStatus::kCommitted) {
-      if (i == first_piece && status == TxnStatus::kAborted) {
-        // Nothing from this (possibly resumed) chain segment committed;
-        // release so the caller can retry the chain from scratch.
-        ReleaseChainLocks(worker, &chain_locks_);
-      }
-      // Otherwise surface as-is: earlier pieces committed, the chain
-      // locks stay held, and recovery (or the caller) finishes the chain.
+      // Earlier pieces committed: the chain locks stay held, and
+      // recovery (or the caller) finishes the chain.
       return status;
     }
   }
@@ -142,7 +117,9 @@ TxnStatus ChoppedTransaction::RunFrom(Worker* worker, size_t first_piece) {
       const ChopInfo info{static_cast<uint32_t>(pieces_.size()),
                           static_cast<uint32_t>(pieces_.size())};
       NvramLog* log = cluster.log(worker->node());
-      if (AppendChopMarker(log, worker->worker_id(), chain_id, info)) {
+      if (log->AppendOutsideHtm(worker->worker_id(), LogType::kChopInfo,
+                                chain_id, &info,
+                                sizeof(info)) == AppendStatus::kOk) {
         // Seal before the release below so the marker is
         // recovery-visible before the locks go.
         log->Externalize(worker->worker_id());

@@ -261,6 +261,22 @@ AppendStatus NvramLog::TryAppend(int worker, LogType type, uint64_t txn_id,
   }
 }
 
+AppendStatus NvramLog::AppendOutsideHtm(int worker, LogType type,
+                                        uint64_t txn_id, const void* payload,
+                                        size_t len) {
+  // One drained-and-reclaimed retry observes the steady state; the
+  // extra rounds ride out chaos-delayed seals and dropped doorbells.
+  constexpr int kFullRetries = 3;
+  for (int attempt = 0;; ++attempt) {
+    const AppendStatus status = TryAppend(worker, type, txn_id, payload, len);
+    if (status != AppendStatus::kFull || attempt >= kFullRetries) {
+      return status;
+    }
+    DrainFlushes(worker);
+    ReclaimSpace(worker);
+  }
+}
+
 void NvramLog::MaybeSealOnThreshold(int worker) {
   const SegmentRef& seg = segments_[static_cast<size_t>(worker)];
   const uint64_t epoch_start = htm::StrongLoad(Ctrl(seg, kEpochStartSlot));

@@ -121,8 +121,8 @@ class NvramLog {
   // Appends a record to the worker's segment. When called inside an HTM
   // transaction the append is transactional (WAL records use this) and
   // the epoch bookkeeping rolls back with the region. Returns kFull if
-  // the segment is full (callers outside HTM should ReclaimSpace and
-  // retry; inside HTM, abort and reclaim outside) and kFaulted when
+  // the segment is full (callers outside HTM use AppendOutsideHtm;
+  // inside HTM, abort and reclaim outside) and kFaulted when
   // chaos injection failed the append itself.
   AppendStatus TryAppend(int worker, LogType type, uint64_t txn_id,
                          const void* payload, size_t len);
@@ -133,6 +133,16 @@ class NvramLog {
               size_t len) {
     return TryAppend(worker, type, txn_id, payload, len) == AppendStatus::kOk;
   }
+
+  // The outside-HTM append: rides out a full segment by sealing,
+  // draining the flushes (so the durability frontier catches up with
+  // the sealed one) and reclaiming completed epochs before each retry,
+  // a bounded number of times. A segment still full after that is
+  // pinned by unfinished transactions, which no amount of waiting
+  // clears. kFaulted models the append itself failing and is never
+  // retried. Callers own the reaction to a final failure.
+  AppendStatus AppendOutsideHtm(int worker, LogType type, uint64_t txn_id,
+                                const void* payload, size_t len);
 
   // Iterates every *sealed* record of every segment in append order per
   // segment. The sealed frontier is the recovery visibility bound: the
@@ -176,8 +186,8 @@ class NvramLog {
 
   // Seals the open epoch and blocks until the durability frontier covers
   // everything appended so far — the strongest precondition ReclaimSpace
-  // can be given. Callers that must not proceed until an append succeeds
-  // (chain resume markers) drain, reclaim and retry. Outside HTM only.
+  // can be given (AppendOutsideHtm drains before it reclaims). Outside
+  // HTM only.
   void DrainFlushes(int worker);
 
   // Drops leading epochs in which every transaction has a kComplete

@@ -58,6 +58,34 @@ bool GateAllows(Cluster& cluster, int table, uint64_t key) {
   return hooks == nullptr || hooks->AllowAcquire(table, key);
 }
 
+// Remembers which ref (or other tag) posted each verb of a scatter
+// round, so that a completion, which carries only its target node and
+// wr_id, maps back to it.
+template <typename Tag>
+class VerbOwners {
+ public:
+  void Add(int target, rdma::WrId id, Tag tag) {
+    owners_.push_back(Owner{target, id, tag});
+  }
+  const Tag& Of(const rdma::ScatterCompletion& sc) const {
+    for (const Owner& owner : owners_) {
+      if (owner.target == sc.target && owner.id == sc.comp.wr_id) {
+        return owner.tag;
+      }
+    }
+    assert(false && "completion of a verb that was never posted");
+    return owners_.front().tag;
+  }
+
+ private:
+  struct Owner {
+    int target;
+    rdma::WrId id;
+    Tag tag;
+  };
+  std::vector<Owner> owners_;
+};
+
 // Registry ids for the transaction-layer counters and phase timers,
 // resolved once per process.
 struct TxnMetricIds {
@@ -358,58 +386,53 @@ Transaction::StartResult Transaction::AcquireLeaseWithState(Ref& ref,
     return StartResult::kConflict;
   }
   stat::ScopedTimer phase(Ids().lease_wait_ns);
-  const uint64_t desired = MakeLease(lease_end_);
-  uint64_t expected = kStateInit;
-  int tries = 0;
-  if (IsWriteLocked(probed)) {
-    if (!wait) {
-      return StartResult::kConflict;
-    }
-    // Leave expected = INIT; the CAS loop below waits the lock out.
-  } else if (HasLease(probed)) {
-    const uint64_t end = LeaseEnd(probed);
-    const uint64_t now = cluster_.synctime().ReadStrong(worker_->node());
-    if (end > now + 2 * cfg_.delta_us + cfg_.lease_rw_us / 8) {
-      ref.leased = true;
-      ref.lease_end = end;
-      return StartResult::kOk;
-    }
-    expected = probed;  // expired or short: steal/renew via CAS
+  if (wait && IsWriteLocked(probed)) {
+    probed = kStateInit;  // CAS at once; the loop waits the lock out
   }
+  return LeaseCasLoop(ref, wait, probed, lease_end_, cfg_.lease_rw_us);
+}
+
+bool Transaction::LeaseShareable(uint64_t end, uint64_t now,
+                                 uint64_t lease_us) const {
+  // Enough of the lease must remain for the sharer to confirm it at
+  // commit; sharing never extends a lease, so writers wait no longer.
+  return end > now + 2 * cfg_.delta_us + lease_us / 8;
+}
+
+Transaction::StartResult Transaction::LeaseCasLoop(Ref& ref, bool wait,
+                                                   uint64_t observed,
+                                                   uint64_t end,
+                                                   uint64_t lease_us) {
+  const uint64_t desired = MakeLease(end);
+  int tries = 0;
   while (true) {
-    uint64_t observed = 0;
-    if (StateCas(ref, expected, desired, &observed) != rdma::OpStatus::kOk) {
-      return StartResult::kNodeDown;
-    }
-    if (observed == expected) {
-      ref.leased = true;
-      ref.lease_end = lease_end_;
-      return StartResult::kOk;
-    }
+    uint64_t expected = observed;
     if (IsWriteLocked(observed)) {
       if (!wait || ++tries > kWaitTriesLimit) {
         return StartResult::kConflict;
       }
       SleepUs(10 + worker_->backoff_rng().NextBounded(50));
       expected = kStateInit;
-      continue;
-    }
-    const uint64_t end = LeaseEnd(observed);
-    const uint64_t now = cluster_.synctime().ReadStrong(worker_->node());
-    if (!LeaseExpired(end, now, cfg_.delta_us)) {
-      // Read-read sharing: adopt the existing lease and its end time —
-      // unless too little of it remains for this transaction to confirm
-      // it at commit, in which case renew it in place (extending a lease
-      // only delays writers; readers of the old end stay valid).
-      if (end > now + 2 * cfg_.delta_us + cfg_.lease_rw_us / 8) {
+    } else if (HasLease(observed)) {
+      // Read-read sharing adopts the existing lease and its end time —
+      // unless too little of it remains, in which case it is renewed in
+      // place (extending a lease only delays writers; readers of the old
+      // end stay valid). An expired lease is replaced by ours.
+      const uint64_t now = cluster_.synctime().ReadStrong(worker_->node());
+      if (LeaseShareable(LeaseEnd(observed), now, lease_us)) {
         ref.leased = true;
-        ref.lease_end = end;
+        ref.lease_end = LeaseEnd(observed);
         return StartResult::kOk;
       }
-      expected = observed;  // renew
-      continue;
     }
-    expected = observed;  // replace the expired lease with ours
+    if (StateCas(ref, expected, desired, &observed) != rdma::OpStatus::kOk) {
+      return StartResult::kNodeDown;
+    }
+    if (observed == expected) {
+      ref.leased = true;
+      ref.lease_end = end;
+      return StartResult::kOk;
+    }
   }
 }
 
@@ -443,6 +466,41 @@ Transaction::StartResult Transaction::PrefetchRef(Ref& ref) {
   return PrefetchFromRaw(ref, raw.data());
 }
 
+Transaction::StartResult Transaction::PrefetchRefs(
+    const std::vector<Ref*>& refs) {
+  std::vector<std::vector<uint8_t>> raws(refs.size());
+  {
+    rdma::PhaseScatter scatter(cluster_.fabric(), SqConfig(),
+                               &stat::ScatterPrefetchIds());
+    for (size_t i = 0; i < refs.size(); ++i) {
+      const Ref& ref = *refs[i];
+      if (!ref.found) {
+        continue;
+      }
+      raws[i].resize(sizeof(store::EntryHeader) + ref.value_size);
+      scatter.To(ref.node).PostRead(ref.entry_off, raws[i].data(),
+                                    raws[i].size());
+    }
+    std::vector<rdma::ScatterCompletion> comps;
+    scatter.Gather(&comps);
+    for (const rdma::ScatterCompletion& sc : comps) {
+      if (sc.comp.status != rdma::OpStatus::kOk) {
+        return StartResult::kNodeDown;
+      }
+    }
+  }
+  for (size_t i = 0; i < refs.size(); ++i) {
+    if (raws[i].empty()) {
+      continue;
+    }
+    const StartResult sr = PrefetchFromRaw(*refs[i], raws[i].data());
+    if (sr != StartResult::kOk) {
+      return sr;
+    }
+  }
+  return StartResult::kOk;
+}
+
 bool Transaction::ResolveRef(Ref& ref) {
   if (ref.local) {
     ref.entry_off =
@@ -462,12 +520,17 @@ bool Transaction::ResolveRef(Ref& ref) {
   return true;
 }
 
-bool Transaction::ResolveRemoteRefs(const std::vector<Ref*>& remote) {
-  if (remote.empty()) {
-    return true;
+bool Transaction::ResolveRefs(const std::vector<Ref*>& refs) {
+  std::vector<Ref*> remote;
+  for (Ref* ref : refs) {
+    if (ref->local) {
+      ResolveRef(*ref);
+    } else {
+      remote.push_back(ref);
+    }
   }
-  if (remote.size() == 1) {
-    return ResolveRef(*remote[0]);  // nothing to overlap
+  if (remote.size() <= 1) {
+    return remote.empty() || ResolveRef(*remote[0]);  // nothing to overlap
   }
   // One RemoteKv per ref (geometry is per <node, table>); the scatter
   // dedups queues per target node, so all chains walk in lockstep with
@@ -484,8 +547,7 @@ bool Transaction::ResolveRemoteRefs(const std::vector<Ref*>& remote) {
     tasks[i].client = clients.back().get();
     tasks[i].key = ref.key;
   }
-  rdma::PhaseScatter scatter(cluster_.fabric(),
-                             rdma::SendQueue::Config{cfg_.rdma_batch_window},
+  rdma::PhaseScatter scatter(cluster_.fabric(), SqConfig(),
                              &stat::ScatterLookupIds());
   store::RemoteKv::ScatterLookup(scatter, &tasks);
   for (size_t i = 0; i < remote.size(); ++i) {
@@ -499,12 +561,9 @@ bool Transaction::ResolveRemoteRefs(const std::vector<Ref*>& remote) {
   return true;
 }
 
-// --- HTM path ----------------------------------------------------------------
-
-Transaction::StartResult Transaction::StartPhase() {
+void Transaction::BeginAttempt(uint64_t lease_us) {
   now_start_ = cluster_.synctime().ReadStrong(worker_->node());
-  lease_end_ = now_start_ + cfg_.lease_rw_us;
-
+  lease_end_ = now_start_ + lease_us;
   // Re-resolve every ref's owner: the elastic tier can flip bucket
   // ownership between attempts (live migration), and a stale node would
   // acquire against the old owner's copy after the switch.
@@ -512,62 +571,77 @@ Transaction::StartResult Transaction::StartPhase() {
     ref.node = cluster_.PartitionOf(ref.table, ref.key);
     ref.local = (ref.node == worker_->node());
   }
+}
 
-  std::vector<Ref*> remote_all;
+bool Transaction::LeasesValid(const std::vector<Ref>& refs) const {
+  const uint64_t now = cluster_.synctime().ReadStrong(worker_->node());
+  for (const Ref& ref : refs) {
+    if (ref.leased && !LeaseValid(ref.lease_end, now, cfg_.delta_us)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void Transaction::AppendComplete() {
+  // Dropping a Complete is benign (redo is version-gated and lock
+  // release idempotent), so a final failure is ignored; but the record
+  // is what lets the epoch recycle, so a full segment is ridden out.
+  cluster_.log(worker_->node())
+      ->AppendOutsideHtm(worker_->worker_id(), LogType::kComplete, txn_id_,
+                         nullptr, 0);
+}
+
+void Transaction::CloseLockAhead() {
+  if (lock_ahead_logged_) {
+    AppendComplete();
+  }
+}
+
+// --- HTM path ----------------------------------------------------------------
+
+Transaction::StartResult Transaction::StartPhase() {
+  BeginAttempt(cfg_.lease_rw_us);
+  std::vector<Ref*> remote;
   for (Ref& ref : refs_) {
     if (!ref.local) {
-      remote_all.push_back(&ref);
+      remote.push_back(&ref);
     }
   }
-  if (!ResolveRemoteRefs(remote_all)) {
+  if (!ResolveRefs(remote)) {
     return StartResult::kNodeDown;
   }
-  bool any_remote_write = false;
-  for (const Ref* ref : remote_all) {
-    // Chain-locked refs are excluded: their lock belongs to the chain
-    // (logged once under the chain id), and a per-piece lock-ahead entry
-    // would let recovery release the chain lock after a mere piece crash.
-    any_remote_write |= (ref->write && ref->found && !ref->chain_locked);
-  }
+  std::erase_if(remote, [](const Ref* ref) { return !ref->found; });
 
-  if (cfg_.logging && any_remote_write) {
-    // Lock-ahead log: which remote records this transaction is about to
-    // lock, so recovery can unlock them if we crash pre-commit (§4.6).
-    std::vector<LogLock> locks;
-    for (const Ref& ref : refs_) {
-      if (!ref.local && ref.write && ref.found && !ref.chain_locked) {
-        locks.push_back(LogLock{ref.node, ref.table, ref.key,
-                                ref.entry_off + store::kEntryStateOffset});
-      }
+  // Lock-ahead log: which remote records this transaction is about to
+  // lock, so recovery can unlock them if we crash pre-commit (§4.6).
+  // Chain-locked refs are excluded: their lock belongs to the chain
+  // (logged once under the chain id), and a per-piece lock-ahead entry
+  // would let recovery release the chain lock after a mere piece crash.
+  std::vector<LogLock> locks;
+  for (const Ref* ref : remote) {
+    if (cfg_.logging && ref->write && !ref->chain_locked) {
+      locks.push_back(LogLock{ref->node, ref->table, ref->key,
+                              ref->entry_off + store::kEntryStateOffset});
     }
+  }
+  if (!locks.empty()) {
     const std::vector<uint8_t> payload = NvramLog::EncodeLocks(locks);
     NvramLog* log = cluster_.log(worker_->node());
-    AppendStatus logged =
-        log->TryAppend(worker_->worker_id(), LogType::kLockAhead, txn_id_,
-                       payload.data(), payload.size());
-    if (logged == AppendStatus::kFull &&
-        log->ReclaimSpace(worker_->worker_id())) {
-      logged = log->TryAppend(worker_->worker_id(), LogType::kLockAhead,
-                              txn_id_, payload.data(), payload.size());
-    }
-    if (logged != AppendStatus::kOk) {
+    if (log->AppendOutsideHtm(worker_->worker_id(), LogType::kLockAhead,
+                              txn_id_, payload.data(),
+                              payload.size()) != AppendStatus::kOk) {
       // Log full even after reclaiming, or the append itself faulted:
       // without a lock-ahead record a pre-commit crash would strand the
       // remote locks, so the transaction must not acquire them. Retry
       // as a conflict.
       return StartResult::kConflict;
     }
+    lock_ahead_logged_ = true;
     // Externalization barrier: the lock-ahead record must be
     // recovery-visible (sealed) before any remote lock CAS lands, or a
     // crash inside the locked window could not be repaired (§4.6).
     log->Externalize(worker_->worker_id());
-  }
-
-  std::vector<Ref*> remote;
-  for (Ref& ref : refs_) {
-    if (!ref.local && ref.found) {
-      remote.push_back(&ref);
-    }
   }
   return BatchedStartRemote(remote);
 }
@@ -589,7 +663,6 @@ Transaction::StartResult Transaction::BatchedStartRemote(
   }
   const uint64_t locked_val =
       MakeWriteLocked(static_cast<uint8_t>(worker_->node()));
-  const rdma::SendQueue::Config sq_cfg{cfg_.rdma_batch_window};
 
   // Round 1: first-attempt lock CASes (INIT -> locked) and lease-probe
   // READs for *all* target nodes ride one overlapped scatter — every
@@ -604,10 +677,9 @@ Transaction::StartResult Transaction::BatchedStartRemote(
     stat::ScopedTimer phase(Ids().lock_acquire_ns);
     std::vector<uint64_t> probes(remote.size(), 0);
     std::vector<bool> is_cas(remote.size(), false);
-    rdma::PhaseScatter scatter(cluster_.fabric(), sq_cfg,
+    rdma::PhaseScatter scatter(cluster_.fabric(), SqConfig(),
                                &stat::ScatterStartLockIds());
-    // (target, wr_id) -> remote index, for matching completions back.
-    std::vector<std::pair<std::pair<int, rdma::WrId>, size_t>> owners;
+    VerbOwners<size_t> owners;
     for (size_t i = 0; i < remote.size(); ++i) {
       const Ref& ref = *remote[i];
       if (ref.chain_locked) {
@@ -622,7 +694,7 @@ Transaction::StartResult Transaction::BatchedStartRemote(
       } else {
         id = sq.PostRead(state_off, &probes[i], sizeof(probes[i]));
       }
-      owners.emplace_back(std::make_pair(ref.node, id), i);
+      owners.Add(ref.node, id, i);
     }
     std::vector<rdma::ScatterCompletion> comps;
     scatter.Gather(&comps);
@@ -630,15 +702,7 @@ Transaction::StartResult Transaction::BatchedStartRemote(
     // early conflict return still releases everything acquired by
     // other completions (Run() walks the marked flags).
     for (const rdma::ScatterCompletion& sc : comps) {
-      size_t i = remote.size();
-      for (const auto& [owner_key, idx] : owners) {
-        if (owner_key.first == sc.target &&
-            owner_key.second == sc.comp.wr_id) {
-          i = idx;
-          break;
-        }
-      }
-      Ref& ref = *remote[i];
+      const size_t i = owners.Of(sc);
       if (sc.comp.status != rdma::OpStatus::kOk) {
         fail = StartResult::kNodeDown;
         continue;
@@ -647,74 +711,25 @@ Transaction::StartResult Transaction::BatchedStartRemote(
         continue;  // lease probes are processed below
       }
       if (sc.comp.observed == kStateInit) {
-        ref.locked = true;
+        remote[i]->locked = true;
       } else {
-        contended.push_back(&ref);
+        contended.push_back(remote[i]);
       }
     }
-    if (fail == StartResult::kOk) {
-      for (size_t i = 0; i < remote.size(); ++i) {
-        if (is_cas[i] || remote[i]->chain_locked) {
-          continue;
-        }
-        const StartResult sr =
-            AcquireLeaseWithState(*remote[i], /*wait=*/false, probes[i]);
-        if (sr != StartResult::kOk) {
-          fail = sr;
-          break;
-        }
+    for (size_t i = 0; i < remote.size() && fail == StartResult::kOk; ++i) {
+      if (!is_cas[i] && !remote[i]->chain_locked) {
+        fail = AcquireLeaseWithState(*remote[i], /*wait=*/false, probes[i]);
       }
     }
-    if (fail == StartResult::kOk) {
-      for (Ref* ref : contended) {
-        const StartResult sr = AcquireExclusive(*ref, /*wait=*/false);
-        if (sr != StartResult::kOk) {
-          fail = sr;
-          break;
-        }
-      }
+    for (size_t i = 0; i < contended.size() && fail == StartResult::kOk; ++i) {
+      fail = AcquireExclusive(*contended[i], /*wait=*/false);
     }
   }
   if (fail != StartResult::kOk) {
     return fail;
   }
-
-  // Round 2: prefetch every acquired ref's header+value image in one
-  // more overlapped scatter round, then parse locally.
-  std::vector<std::vector<uint8_t>> raws(remote.size());
-  {
-    rdma::PhaseScatter scatter(cluster_.fabric(), sq_cfg,
-                               &stat::ScatterPrefetchIds());
-    for (size_t i = 0; i < remote.size(); ++i) {
-      Ref& ref = *remote[i];
-      if (!(ref.locked || ref.leased || ref.chain_locked)) {
-        continue;
-      }
-      raws[i].resize(sizeof(store::EntryHeader) + ref.value_size);
-      scatter.To(ref.node).PostRead(ref.entry_off, raws[i].data(),
-                                    raws[i].size());
-    }
-    std::vector<rdma::ScatterCompletion> comps;
-    scatter.Gather(&comps);
-    for (const rdma::ScatterCompletion& sc : comps) {
-      if (sc.comp.status != rdma::OpStatus::kOk) {
-        fail = StartResult::kNodeDown;
-      }
-    }
-  }
-  if (fail != StartResult::kOk) {
-    return fail;
-  }
-  for (size_t i = 0; i < remote.size(); ++i) {
-    if (raws[i].empty()) {
-      continue;
-    }
-    const StartResult sr = PrefetchFromRaw(*remote[i], raws[i].data());
-    if (sr != StartResult::kOk) {
-      return sr;
-    }
-  }
-  return StartResult::kOk;
+  // Round 2: prefetch every acquired ref's header+value image.
+  return PrefetchRefs(remote);
 }
 
 void Transaction::ConfirmLeasesInHtm() {
@@ -848,10 +863,8 @@ bool Transaction::WriteBackAndUnlock() {
     size_t ref_idx;
     bool unlock;
   };
-  // (target, wr_id) -> which ref/kind, for failure handling.
-  std::vector<std::pair<std::pair<int, rdma::WrId>, Posted>> owners;
-  rdma::PhaseScatter scatter(cluster_.fabric(),
-                             rdma::SendQueue::Config{cfg_.rdma_batch_window},
+  VerbOwners<Posted> owners;  // for failure handling
+  rdma::PhaseScatter scatter(cluster_.fabric(), SqConfig(),
                              &stat::ScatterWritebackIds());
   for (size_t i = 0; i < refs_.size(); ++i) {
     Ref& ref = refs_[i];
@@ -880,12 +893,12 @@ bool Transaction::WriteBackAndUnlock() {
       const rdma::WrId id =
           sq.PostWrite(ref.entry_off + store::kEntryVersionOffset,
                        blobs[i].data(), blobs[i].size());
-      owners.emplace_back(std::make_pair(ref.node, id), Posted{i, false});
+      owners.Add(ref.node, id, Posted{i, false});
     }
     if (ref.locked) {
       const rdma::WrId id = sq.PostWrite(
           ref.entry_off + store::kEntryStateOffset, &init, sizeof(init));
-      owners.emplace_back(std::make_pair(ref.node, id), Posted{i, true});
+      owners.Add(ref.node, id, Posted{i, true});
     }
   }
   std::vector<rdma::ScatterCompletion> comps;
@@ -894,25 +907,19 @@ bool Transaction::WriteBackAndUnlock() {
     if (sc.comp.status == rdma::OpStatus::kOk) {
       continue;
     }
-    const Posted* p = nullptr;
-    for (const auto& [owner_key, posted] : owners) {
-      if (owner_key.first == sc.target && owner_key.second == sc.comp.wr_id) {
-        p = &posted;
-        break;
-      }
-    }
     // Target down mid-commit: the transaction has committed, so retry
     // until the node recovers (§4.6(e)), preserving per-ref order
     // (scatter completions come back in per-target post order, so a
     // write-back failure is retried before its unlock, which also
     // failed and follows later in `comps`).
-    Ref& ref = refs_[p->ref_idx];
-    if (!p->unlock) {
+    const Posted& p = owners.Of(sc);
+    Ref& ref = refs_[p.ref_idx];
+    if (!p.unlock) {
       for (int attempt = 0; attempt < kWriteBackRetries; ++attempt) {
         if (cluster_.fabric().Write(
                 ref.node, ref.entry_off + store::kEntryVersionOffset,
-                blobs[p->ref_idx].data(),
-                blobs[p->ref_idx].size()) == rdma::OpStatus::kOk) {
+                blobs[p.ref_idx].data(),
+                blobs[p.ref_idx].size()) == rdma::OpStatus::kOk) {
           break;
         }
         SleepUs(1000);
@@ -1057,18 +1064,9 @@ TxnStatus Transaction::Run(const Body& body) {
           }
         }
         if (release_clean && cfg_.logging) {
-          NvramLog* log = cluster_.log(worker_->node());
-          if (log->TryAppend(worker_->worker_id(), LogType::kComplete,
-                             txn_id_, nullptr, 0) == AppendStatus::kFull &&
-              log->ReclaimSpace(worker_->worker_id())) {
-            // Dropping a Complete is benign (redo is version-gated and
-            // lock release idempotent), but try once more after
-            // reclaiming — the record is what lets the epoch recycle. A
-            // kFaulted append is the modeled drop itself; no retry.
-            log->Append(worker_->worker_id(), LogType::kComplete, txn_id_,
-                        nullptr, 0);
-          }
-          log->NoteCommit(worker_->worker_id(), txn_id_);
+          AppendComplete();
+          cluster_.log(worker_->node())
+              ->NoteCommit(worker_->worker_id(), txn_id_);
         }
       }
       if (release_clean) {
@@ -1084,6 +1082,7 @@ TxnStatus Transaction::Run(const Body& body) {
     ReleaseRemoteLocks();
     ResetRefsForRetry();
     if (user_abort_) {
+      CloseLockAhead();
       ++stats.user_aborts;
       stat::Registry::Global().Add(Ids().user_abort);
       return TxnStatus::kUserAbort;
@@ -1133,7 +1132,11 @@ TxnStatus Transaction::Run(const Body& body) {
 
   ++stats.fallbacks;
   stat::Registry::Global().Add(Ids().fallback);
-  return RunFallback(body);
+  const TxnStatus status = RunFallback(body);
+  if (status == TxnStatus::kUserAbort || status == TxnStatus::kAborted) {
+    CloseLockAhead();  // every lock the HTM attempts took is released
+  }
+  return status;
 }
 
 // --- body accessors ----------------------------------------------------------
@@ -1234,7 +1237,9 @@ bool Transaction::LocalWriteRangeInHtm(Ref& ref, uint32_t offset,
   htm.Store(table->VersionPtr(entry), version + 1);
   htm.Write(static_cast<uint8_t*>(table->ValuePtr(entry)) + offset, data,
             len);
-  // Lazy state subscription, identical to LocalWriteInHtm.
+  // Lazy state subscription, identical to LocalWriteInHtm. The WAL
+  // image composed below reads lines the slice write already owns.
+  // drtm-lint: allow(LS01 WAL/replay full-image compose after the lazy state probe is logging/recording-only; probing later would defeat lazy lock subscription for sliced writes)
   const uint64_t state = htm.Load(table->StatePtr(entry));
   if (IsWriteLocked(state) && !ref.chain_locked) {
     htm.Abort(kCodeLocked);
@@ -1552,156 +1557,78 @@ Transaction::StartResult Transaction::OptimisticFallbackAcquire() {
   const uint64_t lease_val = MakeLease(lease_end_);
   const bool glob =
       cluster_.fabric().atomic_level() == rdma::AtomicLevel::kGlob;
+  auto wants_lock = [&](const Ref& ref) {
+    return ref.write || !cfg_.enable_read_lease;
+  };
+  // Books the outcome of one blind CAS from INIT; false if contended. A
+  // lease CAS that lost to a healthy lease shares it instead.
+  auto take = [&](Ref& ref, uint64_t observed) {
+    if (observed == kStateInit) {
+      ref.locked = wants_lock(ref);
+      ref.leased = !ref.locked;
+      ref.lease_end = lease_end_;
+      return true;
+    }
+    if (!wants_lock(ref) && HasLease(observed) &&
+        LeaseShareable(LeaseEnd(observed),
+                       cluster_.synctime().ReadStrong(worker_->node()),
+                       cfg_.lease_rw_us)) {
+      ref.leased = true;
+      ref.lease_end = LeaseEnd(observed);
+      return true;
+    }
+    return false;
+  };
 
   // Local records first, via the cheap processor CAS where the NIC
   // level allows it: if a neighbour's record is already contended there
   // is no point ringing any doorbell.
-  bool contended = false;
   for (Ref& ref : refs_) {
     if (!ref.found || !(ref.local && glob) || ref.chain_locked) {
       continue;
     }
-    const bool wants_lock = ref.write || !cfg_.enable_read_lease;
     uint64_t observed = 0;
-    StateCas(ref, kStateInit, wants_lock ? locked_val : lease_val, &observed);
-    if (observed == kStateInit) {
-      if (wants_lock) {
-        ref.locked = true;
-      } else {
-        ref.leased = true;
-        ref.lease_end = lease_end_;
-      }
-      continue;
+    StateCas(ref, kStateInit, wants_lock(ref) ? locked_val : lease_val,
+             &observed);
+    if (!take(ref, observed)) {
+      return StartResult::kConflict;
     }
-    if (!wants_lock && HasLease(observed)) {
-      const uint64_t end = LeaseEnd(observed);
-      const uint64_t now = cluster_.synctime().ReadStrong(worker_->node());
-      if (end > now + 2 * cfg_.delta_us + cfg_.lease_rw_us / 8) {
-        ref.leased = true;
-        ref.lease_end = end;
-        continue;
-      }
-    }
-    contended = true;
-    break;
-  }
-  if (contended) {
-    ReleaseRemoteLocks();
-    return StartResult::kConflict;
   }
 
   // One non-blocking CAS per remaining record — every target's doorbell
   // rings before any completion is polled, so the whole lock set costs
   // ~1 overlapped round trip when uncontended. Acquisition order is
   // arbitrary, which is safe exactly because nothing here waits: on any
-  // contention every acquired ref is released below before the ordered
-  // serial loop re-acquires from scratch, so no worker ever blocks
-  // while holding out-of-order locks (deadlock freedom, §6.2).
-  struct Post {
-    size_t ref_idx;
-    bool wants_lock;
-  };
-  std::vector<std::pair<std::pair<int, rdma::WrId>, Post>> owners;
-  StartResult fail = StartResult::kOk;
-  {
-    rdma::PhaseScatter scatter(cluster_.fabric(),
-                               rdma::SendQueue::Config{cfg_.rdma_batch_window},
-                               &stat::ScatterFallbackIds());
-    for (size_t i = 0; i < refs_.size(); ++i) {
-      Ref& ref = refs_[i];
-      if (!ref.found || (ref.local && glob) || ref.chain_locked) {
-        continue;
-      }
-      const bool wants_lock = ref.write || !cfg_.enable_read_lease;
-      const uint64_t state_off = ref.entry_off + store::kEntryStateOffset;
-      const rdma::WrId id = scatter.To(ref.node).PostCas(
-          state_off, kStateInit, wants_lock ? locked_val : lease_val);
-      owners.emplace_back(std::make_pair(ref.node, id), Post{i, wants_lock});
-    }
-    std::vector<rdma::ScatterCompletion> comps;
-    scatter.Gather(&comps);
-    const uint64_t now = cluster_.synctime().ReadStrong(worker_->node());
-    for (const rdma::ScatterCompletion& sc : comps) {
-      const Post* p = nullptr;
-      for (const auto& [owner_key, post] : owners) {
-        if (owner_key.first == sc.target &&
-            owner_key.second == sc.comp.wr_id) {
-          p = &post;
-          break;
-        }
-      }
-      Ref& ref = refs_[p->ref_idx];
-      if (sc.comp.status != rdma::OpStatus::kOk) {
-        fail = StartResult::kNodeDown;
-        continue;  // keep marking acquisitions so the release sees them
-      }
-      if (sc.comp.observed == kStateInit) {
-        if (p->wants_lock) {
-          ref.locked = true;
-        } else {
-          ref.leased = true;
-          ref.lease_end = lease_end_;
-        }
-        continue;
-      }
-      if (!p->wants_lock && HasLease(sc.comp.observed)) {
-        const uint64_t end = LeaseEnd(sc.comp.observed);
-        if (end > now + 2 * cfg_.delta_us + cfg_.lease_rw_us / 8) {
-          ref.leased = true;
-          ref.lease_end = end;
-          continue;
-        }
-      }
-      contended = true;
-    }
-  }
-  if (fail != StartResult::kOk || contended) {
-    ReleaseRemoteLocks();
-    return fail != StartResult::kOk ? fail : StartResult::kConflict;
-  }
-
-  // Everything acquired: prefetch all images in one more overlapped
-  // round (local records too — the serial fallback's PrefetchRef also
-  // reads them through the fabric).
-  std::vector<std::vector<uint8_t>> raws(refs_.size());
-  {
-    rdma::PhaseScatter scatter(cluster_.fabric(),
-                               rdma::SendQueue::Config{cfg_.rdma_batch_window},
-                               &stat::ScatterPrefetchIds());
-    for (size_t i = 0; i < refs_.size(); ++i) {
-      Ref& ref = refs_[i];
-      if (!ref.found) {
-        continue;
-      }
-      raws[i].resize(sizeof(store::EntryHeader) + ref.value_size);
-      scatter.To(ref.node).PostRead(ref.entry_off, raws[i].data(),
-                                    raws[i].size());
-    }
-    std::vector<rdma::ScatterCompletion> comps;
-    scatter.Gather(&comps);
-    for (const rdma::ScatterCompletion& sc : comps) {
-      if (sc.comp.status != rdma::OpStatus::kOk) {
-        fail = StartResult::kNodeDown;
-      }
-    }
-  }
-  if (fail != StartResult::kOk) {
-    ReleaseRemoteLocks();
-    return fail;
-  }
+  // contention the caller releases every acquired ref before the
+  // ordered serial loop re-acquires from scratch, so no worker ever
+  // blocks while holding out-of-order locks (deadlock freedom, §6.2).
+  StartResult result = StartResult::kOk;
+  rdma::PhaseScatter scatter(cluster_.fabric(), SqConfig(),
+                             &stat::ScatterFallbackIds());
+  VerbOwners<size_t> owners;
   for (size_t i = 0; i < refs_.size(); ++i) {
-    if (raws[i].empty()) {
+    const Ref& ref = refs_[i];
+    if (!ref.found || (ref.local && glob) || ref.chain_locked) {
       continue;
     }
-    const StartResult sr = PrefetchFromRaw(refs_[i], raws[i].data());
-    if (sr != StartResult::kOk) {
-      // The entry was deleted under us; release and let the ordered
-      // loop (or the next attempt) re-resolve.
-      ReleaseRemoteLocks();
-      return sr;
+    owners.Add(ref.node,
+               scatter.To(ref.node).PostCas(
+                   ref.entry_off + store::kEntryStateOffset, kStateInit,
+                   wants_lock(ref) ? locked_val : lease_val),
+               i);
+  }
+  std::vector<rdma::ScatterCompletion> comps;
+  scatter.Gather(&comps);
+  for (const rdma::ScatterCompletion& sc : comps) {
+    // Keep booking acquisitions after a failure so the release sees them.
+    if (sc.comp.status != rdma::OpStatus::kOk) {
+      result = StartResult::kNodeDown;
+    } else if (!take(refs_[owners.Of(sc)], sc.comp.observed) &&
+               result == StartResult::kOk) {
+      result = StartResult::kConflict;
     }
   }
-  return StartResult::kOk;
+  return result;
 }
 
 TxnStatus Transaction::RunFallback(const Body& body) {
@@ -1709,54 +1636,38 @@ TxnStatus Transaction::RunFallback(const Body& body) {
   stat::ScopedTimer fallback_phase(Ids().fallback_ns);
   TxnStats& stats = worker_->stats();
   htm::HtmThread& htm = worker_->htm();
+  std::vector<Ref*> all;
+  for (Ref& ref : refs_) {
+    all.push_back(&ref);
+  }
 
   for (int attempt = 0; attempt < kFallbackAttempts; ++attempt) {
     WindowGuard window(cluster_);
-    now_start_ = cluster_.synctime().ReadStrong(worker_->node());
-    lease_end_ = now_start_ + cfg_.lease_rw_us;
-    // Re-resolve ownership each attempt: a live migration may have
-    // flipped a key's home node between attempts.
-    for (Ref& ref : refs_) {
-      ref.node = cluster_.PartitionOf(ref.table, ref.key);
-      ref.local = (ref.node == worker_->node());
-    }
+    BeginAttempt(cfg_.lease_rw_us);
     pending_local_ops_.clear();
     wal_buffer_.clear();
     replay_wal_sum_ = 0;
 
-    StartResult fail = StartResult::kOk;
-    bool acquired = false;
-    if (cfg_.optimistic_fallback_locking) {
-      // Optimistic first pass: resolve every chain in lockstep, then try
-      // the whole lock set with one non-blocking overlapped CAS scatter.
-      // Any contention releases everything (preserving deadlock freedom)
-      // and drops to the ordered serial loop below.
-      std::vector<Ref*> remote_all;
-      for (Ref& ref : refs_) {
-        if (ref.local) {
-          ResolveRef(ref);
-        } else {
-          remote_all.push_back(&ref);
-        }
-      }
-      if (!ResolveRemoteRefs(remote_all)) {
-        fail = StartResult::kNodeDown;
-      } else {
-        const StartResult sr = OptimisticFallbackAcquire();
-        if (sr == StartResult::kOk) {
-          acquired = true;
-          stat::Registry::Global().Add(Ids().fallback_optimistic_hit);
-        } else if (sr == StartResult::kNodeDown) {
-          fail = sr;
-        } else {
-          stat::Registry::Global().Add(Ids().fallback_fallthrough);
-        }
-      }
+    // Optimistic first pass: resolve every chain in lockstep, try the
+    // whole lock set with one non-blocking overlapped CAS scatter, then
+    // prefetch everything in one more round (local records too — the
+    // serial loop's PrefetchRef also reads them through the fabric).
+    StartResult fail =
+        ResolveRefs(all) ? OptimisticFallbackAcquire() : StartResult::kNodeDown;
+    if (fail == StartResult::kOk) {
+      fail = PrefetchRefs(all);
     }
-    // Resolve and lock everything — local records included — in the
-    // global <table, key> order (refs_ is already sorted), waiting out
-    // holders; this order is what makes the waiting deadlock-free.
-    if (fail == StartResult::kOk && !acquired) {
+    if (fail == StartResult::kOk) {
+      stat::Registry::Global().Add(Ids().fallback_optimistic_hit);
+    } else if (fail == StartResult::kConflict) {
+      // Contention releases everything (preserving deadlock freedom),
+      // then resolves and locks everything — local records included —
+      // in the global <table, key> order (refs_ is already sorted),
+      // waiting out holders; this order is what makes the waiting
+      // deadlock-free.
+      stat::Registry::Global().Add(Ids().fallback_fallthrough);
+      ReleaseRemoteLocks();
+      fail = StartResult::kOk;
       for (Ref& ref : refs_) {
         if (!ResolveRef(ref)) {
           fail = StartResult::kNodeDown;
@@ -1782,16 +1693,10 @@ TxnStatus Transaction::RunFallback(const Body& body) {
         }
       }
     }
-    if (fail == StartResult::kOk) {
-      // Leases must be valid before any irreversible update (§6.2): the
-      // confirmation is the serialization point of the fallback.
-      const uint64_t now = cluster_.synctime().ReadStrong(worker_->node());
-      for (const Ref& ref : refs_) {
-        if (ref.leased && !LeaseValid(ref.lease_end, now, cfg_.delta_us)) {
-          fail = StartResult::kConflict;
-          break;
-        }
-      }
+    // Leases must be valid before any irreversible update (§6.2): the
+    // confirmation is the serialization point of the fallback.
+    if (fail == StartResult::kOk && !LeasesValid(refs_)) {
+      fail = StartResult::kConflict;
     }
     if (fail != StartResult::kOk) {
       ReleaseRemoteLocks();
@@ -1815,39 +1720,23 @@ TxnStatus Transaction::RunFallback(const Body& body) {
       worker_->Backoff(attempt);
       continue;
     }
-    if (!body_ok) {
+    // Replay mode: when the recording committed fewer transactions in
+    // this op, the extra commit is suppressed (see the HTM-path gate).
+    if (!body_ok ||
+        (replay::Armed() && !replay::Recorder::Global().CommitAllowed())) {
       ReleaseRemoteLocks();
       ResetRefsForRetry();
       ++stats.user_aborts;
       stat::Registry::Global().Add(Ids().user_abort);
       return TxnStatus::kUserAbort;
     }
-    if (replay::Armed() && !replay::Recorder::Global().CommitAllowed()) {
-      // Replay mode: the recording committed fewer transactions in this
-      // op — suppress the extra commit (see the HTM-path gate).
-      ReleaseRemoteLocks();
-      ResetRefsForRetry();
-      ++stats.user_aborts;
-      stat::Registry::Global().Add(Ids().user_abort);
-      return TxnStatus::kUserAbort;
-    }
-    if (!dynamic_refs_.empty()) {
+    if (!LeasesValid(dynamic_refs_)) {
       // Dynamic leases join the pre-body confirmation as the
       // serialization point; all must still be valid before any update.
-      const uint64_t now2 = cluster_.synctime().ReadStrong(worker_->node());
-      bool dynamic_valid = true;
-      for (const Ref& ref : dynamic_refs_) {
-        if (!LeaseValid(ref.lease_end, now2, cfg_.delta_us)) {
-          dynamic_valid = false;
-          break;
-        }
-      }
-      if (!dynamic_valid) {
-        ReleaseRemoteLocks();
-        ResetRefsForRetry();
-        worker_->Backoff(attempt);
-        continue;
-      }
+      ReleaseRemoteLocks();
+      ResetRefsForRetry();
+      worker_->Backoff(attempt);
+      continue;
     }
 
     // Gather WAL updates for buffered hash writes (local ones were
@@ -1859,16 +1748,9 @@ TxnStatus Transaction::RunFallback(const Body& body) {
     }
     if (cfg_.logging && !wal_buffer_.empty()) {
       NvramLog* log = cluster_.log(worker_->node());
-      AppendStatus logged =
-          log->TryAppend(worker_->worker_id(), LogType::kWriteAhead, txn_id_,
-                         wal_buffer_.data(), wal_buffer_.size());
-      if (logged == AppendStatus::kFull &&
-          log->ReclaimSpace(worker_->worker_id())) {
-        logged = log->TryAppend(worker_->worker_id(), LogType::kWriteAhead,
+      if (log->AppendOutsideHtm(worker_->worker_id(), LogType::kWriteAhead,
                                 txn_id_, wal_buffer_.data(),
-                                wal_buffer_.size());
-      }
-      if (logged != AppendStatus::kOk) {
+                                wal_buffer_.size()) != AppendStatus::kOk) {
         // Log full even after reclaiming (or the append faulted): nothing
         // has been applied yet, so release the locks and retry the attempt
         // instead of committing writes that recovery could not redo.
@@ -1993,17 +1875,8 @@ TxnStatus Transaction::RunFallback(const Body& body) {
                                                    release_abandoned);
     }
     if (cfg_.logging && !release_abandoned) {
-      NvramLog* log = cluster_.log(worker_->node());
-      if (log->TryAppend(worker_->worker_id(), LogType::kComplete, txn_id_,
-                         nullptr, 0) == AppendStatus::kFull &&
-          log->ReclaimSpace(worker_->worker_id())) {
-        // Losing a Complete record is benign (redo is version-gated and
-        // lock release is idempotent), so a second failure is ignored —
-        // and a kFaulted append is the modeled drop itself; no retry.
-        log->Append(worker_->worker_id(), LogType::kComplete, txn_id_,
-                    nullptr, 0);
-      }
-      log->NoteCommit(worker_->worker_id(), txn_id_);
+      AppendComplete();
+      cluster_.log(worker_->node())->NoteCommit(worker_->worker_id(), txn_id_);
     }
     if (!release_abandoned) {
       NotifyCommittedWrites();
@@ -2075,15 +1948,9 @@ TxnStatus AcquireChainLocks(Worker* worker, uint64_t chain_id,
     }
     const std::vector<uint8_t> payload = NvramLog::EncodeLocks(entries);
     NvramLog* log = cluster.log(worker->node());
-    AppendStatus logged =
-        log->TryAppend(worker->worker_id(), LogType::kLockAhead, chain_id,
-                       payload.data(), payload.size());
-    if (logged == AppendStatus::kFull &&
-        log->ReclaimSpace(worker->worker_id())) {
-      logged = log->TryAppend(worker->worker_id(), LogType::kLockAhead,
-                              chain_id, payload.data(), payload.size());
-    }
-    if (logged != AppendStatus::kOk) {
+    if (log->AppendOutsideHtm(worker->worker_id(), LogType::kLockAhead,
+                              chain_id, payload.data(),
+                              payload.size()) != AppendStatus::kOk) {
       // Without a durable lock-ahead record a crash mid-chain would strand
       // the chain locks; abort before acquiring any.
       return TxnStatus::kAborted;
@@ -2096,7 +1963,7 @@ TxnStatus AcquireChainLocks(Worker* worker, uint64_t chain_id,
       MakeWriteLocked(static_cast<uint8_t>(worker->node()));
   for (ChainLock& lock : *locks) {
     if (!GateAllows(cluster, lock.table, lock.key)) {
-      ReleaseChainLocks(worker, locks);
+      AbortChain(worker, chain_id, locks);
       return TxnStatus::kAborted;
     }
     uint64_t expected = kStateInit;
@@ -2127,7 +1994,7 @@ TxnStatus AcquireChainLocks(Worker* worker, uint64_t chain_id,
       }
       if (IsWriteLocked(observed)) {
         if (++tries > kWaitTriesLimit) {
-          ReleaseChainLocks(worker, locks);
+          AbortChain(worker, chain_id, locks);
           return TxnStatus::kAborted;
         }
         SleepUs(10 + worker->backoff_rng().NextBounded(50));
@@ -2142,7 +2009,7 @@ TxnStatus AcquireChainLocks(Worker* worker, uint64_t chain_id,
           break;
         }
         if (++tries > kWaitTriesLimit) {
-          ReleaseChainLocks(worker, locks);
+          AbortChain(worker, chain_id, locks);
           return TxnStatus::kAborted;
         }
         SleepUs(20);
@@ -2181,316 +2048,187 @@ void ReleaseChainLocks(Worker* worker, std::vector<ChainLock>* locks) {
   }
 }
 
+void AbortChain(Worker* worker, uint64_t chain_id,
+                std::vector<ChainLock>* locks) {
+  ReleaseChainLocks(worker, locks);
+  Cluster& cluster = worker->cluster();
+  if (cluster.config().logging) {
+    // Nothing of the chain stays pending, so its lock-ahead and resume
+    // markers are closed: recovery then leaves the chain alone, and
+    // ReclaimSpace can drop their epochs. A final failure is ignored,
+    // as for a transaction's Complete record.
+    cluster.log(worker->node())
+        ->AppendOutsideHtm(worker->worker_id(), LogType::kComplete, chain_id,
+                           nullptr, 0);
+  }
+}
+
 // --- read-only transactions ----------------------------------------------------
 
-ReadOnlyTransaction::ReadOnlyTransaction(Worker* worker)
-    : worker_(worker), cluster_(worker->cluster()) {}
+Transaction::StartResult Transaction::LeaseAllForReadOnly() {
+  // Round 1: probe every found record's state word — local via a
+  // strong load, all remote probes in one overlapped scatter. A healthy
+  // existing lease is shared from the plain READ, CAS-free (an RDMA CAS
+  // costs an order of magnitude more, section 6.3).
+  std::vector<uint64_t> probes(refs_.size(), 0);
+  {
+    rdma::PhaseScatter scatter(cluster_.fabric(), SqConfig(),
+                               &stat::ScatterRoLeaseIds());
+    for (size_t i = 0; i < refs_.size(); ++i) {
+      const Ref& ref = refs_[i];
+      if (!ref.found) {
+        continue;
+      }
+      if (ref.local) {
+        store::ClusterHashTable* host =
+            cluster_.hash_table(ref.node, ref.table);
+        // drtm-lint: allow(TX03 fallback lease probe, stands in for a one-sided RDMA READ)
+        probes[i] = htm::StrongLoad(host->StatePtr(ref.entry_off));
+      } else {
+        scatter.To(ref.node).PostRead(ref.entry_off + store::kEntryStateOffset,
+                                      &probes[i], sizeof(probes[i]));
+      }
+    }
+    std::vector<rdma::ScatterCompletion> comps;
+    scatter.Gather(&comps);
+    for (const rdma::ScatterCompletion& sc : comps) {
+      if (sc.comp.status != rdma::OpStatus::kOk) {
+        return StartResult::kNodeDown;
+      }
+    }
+  }
+
+  // Round 2: lease every found record with the common end time via CAS
+  // (sections 4.5 and 6.3), seeded by its probe. The first CAS of every
+  // record that needs one rides a single overlapped scatter; only CAS
+  // failures drop to the scalar share/renew loop.
+  const uint64_t desired = MakeLease(lease_end_);
+  const bool glob =
+      cluster_.fabric().atomic_level() == rdma::AtomicLevel::kGlob;
+  std::vector<uint64_t> expected(refs_.size(), kStateInit);
+  std::vector<uint64_t> observed(refs_.size(), 0);
+  std::vector<bool> need_cas(refs_.size(), false);
+  StartResult result = StartResult::kOk;
+  {
+    rdma::PhaseScatter scatter(cluster_.fabric(), SqConfig(),
+                               &stat::ScatterRoLeaseIds());
+    VerbOwners<size_t> owners;
+    for (size_t i = 0; i < refs_.size(); ++i) {
+      Ref& ref = refs_[i];
+      if (!ref.found) {
+        continue;
+      }
+      if (HasLease(probes[i])) {
+        const uint64_t now = cluster_.synctime().ReadStrong(worker_->node());
+        if (LeaseShareable(LeaseEnd(probes[i]), now, cfg_.lease_ro_us)) {
+          ref.leased = true;
+          ref.lease_end = LeaseEnd(probes[i]);
+          continue;
+        }
+        expected[i] = probes[i];  // expired or short: steal/renew
+      } else if (IsWriteLocked(probes[i])) {
+        result = StartResult::kConflict;
+        break;
+      }
+      // Elastic freeze gate: sharing an existing lease above is safe
+      // (it never extends one), but installing or renewing a lease on
+      // a frozen bucket would stretch the revocation wait — retry.
+      if (!GateAllows(cluster_, ref.table, ref.key)) {
+        result = StartResult::kConflict;
+        break;
+      }
+      need_cas[i] = true;
+      if (ref.local && glob) {
+        StateCas(ref, expected[i], desired, &observed[i]);
+      } else {
+        owners.Add(ref.node,
+                   scatter.To(ref.node).PostCas(
+                       ref.entry_off + store::kEntryStateOffset, expected[i],
+                       desired),
+                   i);
+      }
+    }
+    std::vector<rdma::ScatterCompletion> comps;
+    scatter.Gather(&comps);
+    for (const rdma::ScatterCompletion& sc : comps) {
+      if (sc.comp.status != rdma::OpStatus::kOk) {
+        result = StartResult::kNodeDown;
+      } else {
+        observed[owners.Of(sc)] = sc.comp.observed;
+      }
+    }
+  }
+  // Scalar continuation for refs whose batched CAS lost the race.
+  for (size_t i = 0; i < refs_.size() && result == StartResult::kOk; ++i) {
+    if (!need_cas[i]) {
+      continue;
+    }
+    if (observed[i] == expected[i]) {
+      refs_[i].leased = true;
+      refs_[i].lease_end = lease_end_;
+    } else {
+      result = LeaseCasLoop(refs_[i], /*wait=*/false, observed[i], lease_end_,
+                            cfg_.lease_ro_us);
+    }
+  }
+  return result;
+}
+
+ReadOnlyTransaction::ReadOnlyTransaction(Worker* worker) : txn_(worker) {}
 
 void ReadOnlyTransaction::AddRead(int table, uint64_t key) {
-  RoRef ref;
-  ref.table = table;
-  ref.key = key;
-  ref.node = cluster_.PartitionOf(table, key);
-  refs_.push_back(std::move(ref));
+  txn_.AddRead(table, key);
 }
 
 TxnStatus ReadOnlyTransaction::Execute() {
-  const ClusterConfig& cfg = cluster_.config();
-  TxnStats& stats = worker_->stats();
-  std::sort(refs_.begin(), refs_.end(), [](const RoRef& a, const RoRef& b) {
-    return a.table != b.table ? a.table < b.table : a.key < b.key;
-  });
-
-  const rdma::SendQueue::Config sq_cfg{cfg.rdma_batch_window};
+  using StartResult = Transaction::StartResult;
+  TxnStats& stats = txn_.worker_->stats();
+  txn_.SortRefs();
+  std::vector<Transaction::Ref*> all;
+  for (Transaction::Ref& ref : txn_.refs_) {
+    all.push_back(&ref);
+  }
   for (int attempt = 0; attempt < kFallbackAttempts; ++attempt) {
-    WindowGuard window(cluster_);
-    // Re-resolve ownership each attempt: a live migration may have
-    // flipped a key's home node between attempts.
-    for (RoRef& ref : refs_) {
-      ref.node = cluster_.PartitionOf(ref.table, ref.key);
+    WindowGuard window(txn_.cluster_);
+    // Every record is leased with one common end time (Fig. 8): resolve
+    // all keys in lockstep, lease them, then prefetch in one round.
+    txn_.BeginAttempt(txn_.cfg_.lease_ro_us);
+    StartResult sr = txn_.ResolveRefs(all) ? txn_.LeaseAllForReadOnly()
+                                           : StartResult::kNodeDown;
+    if (sr == StartResult::kOk) {
+      sr = txn_.PrefetchRefs(all);
     }
-    const uint64_t now0 = cluster_.synctime().ReadStrong(worker_->node());
-    const uint64_t end = now0 + cfg.lease_ro_us;
-    const uint64_t desired = MakeLease(end);
-    bool conflict = false;
-    bool node_down = false;
-
-    // Phase 1: resolve every key; remote chains walk in lockstep with
-    // one overlapped doorbell per host per round.
-    {
-      std::vector<std::unique_ptr<store::RemoteKv>> clients;
-      std::vector<store::RemoteKv::LookupTask> tasks;
-      std::vector<size_t> task_ref;
-      for (size_t i = 0; i < refs_.size(); ++i) {
-        RoRef& ref = refs_[i];
-        store::ClusterHashTable* host =
-            cluster_.hash_table(ref.node, ref.table);
-        if (ref.node == worker_->node()) {
-          ref.entry_off = host->FindEntry(ref.key);
-          ref.found = ref.entry_off != store::kInvalidOffset;
-          continue;
-        }
-        clients.push_back(std::make_unique<store::RemoteKv>(
-            &cluster_.fabric(), ref.node, host->geometry(),
-            cluster_.cache(worker_->node(), ref.node)));
-        store::RemoteKv::LookupTask task;
-        task.client = clients.back().get();
-        task.key = ref.key;
-        tasks.push_back(std::move(task));
-        task_ref.push_back(i);
-      }
-      if (tasks.size() == 1) {
-        tasks[0].result = tasks[0].client->Lookup(tasks[0].key);
-      } else if (!tasks.empty()) {
-        rdma::PhaseScatter scatter(cluster_.fabric(), sq_cfg,
-                                   &stat::ScatterLookupIds());
-        store::RemoteKv::ScatterLookup(scatter, &tasks);
-      }
-      for (size_t t = 0; t < tasks.size(); ++t) {
-        RoRef& ref = refs_[task_ref[t]];
-        if (!cluster_.fabric().IsAlive(ref.node)) {
-          node_down = true;
-          break;
-        }
-        ref.found = tasks[t].result.found;
-        ref.entry_off = tasks[t].result.entry_off;
-      }
-    }
-
-    // Phase 2: probe every found record's state word — local via a
-    // strong load, all remote probes in one overlapped scatter. A
-    // healthy existing lease is shared from the plain READ, CAS-free
-    // (an RDMA CAS costs an order of magnitude more, section 6.3).
-    std::vector<uint64_t> probes(refs_.size(), 0);
-    if (!node_down) {
-      rdma::PhaseScatter scatter(cluster_.fabric(), sq_cfg,
-                                 &stat::ScatterRoLeaseIds());
-      for (size_t i = 0; i < refs_.size(); ++i) {
-        RoRef& ref = refs_[i];
-        if (!ref.found) {
-          continue;
-        }
-        if (ref.node == worker_->node()) {
-          store::ClusterHashTable* host =
-              cluster_.hash_table(ref.node, ref.table);
-          // drtm-lint: allow(TX03 fallback lease probe, stands in for a one-sided RDMA READ)
-          probes[i] = htm::StrongLoad(host->StatePtr(ref.entry_off));
-        } else {
-          scatter.To(ref.node).PostRead(
-              ref.entry_off + store::kEntryStateOffset, &probes[i],
-              sizeof(probes[i]));
-        }
-      }
-      std::vector<rdma::ScatterCompletion> comps;
-      scatter.Gather(&comps);
-      for (const rdma::ScatterCompletion& sc : comps) {
-        if (sc.comp.status != rdma::OpStatus::kOk) {
-          node_down = true;
-        }
-      }
-    }
-
-    // Phase 3: lease every found record with a common end time via CAS
-    // (sections 4.5 and 6.3), seeded by its probe. The first CAS of
-    // every record that needs one rides a single overlapped scatter;
-    // only CAS failures drop to the scalar share/renew loop.
-    std::vector<uint64_t> expected(refs_.size(), kStateInit);
-    std::vector<uint64_t> observed(refs_.size(), 0);
-    std::vector<bool> need_cas(refs_.size(), false);
-    if (!node_down) {
-      const bool glob =
-          cluster_.fabric().atomic_level() == rdma::AtomicLevel::kGlob;
-      rdma::PhaseScatter scatter(cluster_.fabric(), sq_cfg,
-                                 &stat::ScatterRoLeaseIds());
-      std::vector<std::pair<std::pair<int, rdma::WrId>, size_t>> owners;
-      for (size_t i = 0; i < refs_.size(); ++i) {
-        RoRef& ref = refs_[i];
-        if (!ref.found) {
-          continue;
-        }
-        const bool local = ref.node == worker_->node();
-        if (HasLease(probes[i])) {
-          const uint64_t lease = LeaseEnd(probes[i]);
-          const uint64_t now = cluster_.synctime().ReadStrong(worker_->node());
-          if (lease > now + 2 * cfg.delta_us + cfg.lease_ro_us / 8) {
-            ref.lease_end = lease;  // share
-            continue;
-          }
-          expected[i] = probes[i];  // expired or short: steal/renew
-        } else if (IsWriteLocked(probes[i])) {
-          conflict = true;
-          break;
-        }
-        // Elastic freeze gate: sharing an existing lease above is safe
-        // (it never extends one), but installing or renewing a lease on
-        // a frozen bucket would stretch the revocation wait — retry.
-        if (!GateAllows(cluster_, ref.table, ref.key)) {
-          conflict = true;
-          break;
-        }
-        need_cas[i] = true;
-        if (local && glob) {
-          SpinFor(cfg.latency.LocalCasNs());
-          store::ClusterHashTable* host =
-              cluster_.hash_table(ref.node, ref.table);
-          // drtm-lint: allow(TX03 local stand-in for an RDMA CAS verb on GLOB-coherent NICs)
-          observed[i] = htm::StrongCas64(host->StatePtr(ref.entry_off),
-                                         expected[i], desired);
-        } else {
-          const rdma::WrId id = scatter.To(ref.node).PostCas(
-              ref.entry_off + store::kEntryStateOffset, expected[i], desired);
-          owners.emplace_back(std::make_pair(ref.node, id), i);
-        }
-      }
-      std::vector<rdma::ScatterCompletion> comps;
-      scatter.Gather(&comps);
-      for (const rdma::ScatterCompletion& sc : comps) {
-        size_t i = refs_.size();
-        for (const auto& [owner_key, idx] : owners) {
-          if (owner_key.first == sc.target &&
-              owner_key.second == sc.comp.wr_id) {
-            i = idx;
-            break;
-          }
-        }
-        if (sc.comp.status != rdma::OpStatus::kOk) {
-          node_down = true;
-          continue;
-        }
-        observed[i] = sc.comp.observed;
-      }
-    }
-    if (!node_down && !conflict) {
-      // Scalar continuation for refs whose batched CAS lost the race.
-      for (size_t i = 0; i < refs_.size() && !conflict && !node_down; ++i) {
-        if (!need_cas[i]) {
-          continue;
-        }
-        RoRef& ref = refs_[i];
-        const bool local = ref.node == worker_->node();
-        store::ClusterHashTable* host =
-            cluster_.hash_table(ref.node, ref.table);
-        uint64_t exp = expected[i];
-        uint64_t obs = observed[i];
-        while (true) {
-          if (obs == exp) {
-            ref.lease_end = end;
-            break;
-          }
-          if (IsWriteLocked(obs)) {
-            conflict = true;
-            break;
-          }
-          const uint64_t lease = LeaseEnd(obs);
-          const uint64_t now = cluster_.synctime().ReadStrong(worker_->node());
-          if (!LeaseExpired(lease, now, cfg.delta_us) &&
-              lease > now + 2 * cfg.delta_us + cfg.lease_ro_us / 8) {
-            ref.lease_end = lease;  // share
-            break;
-          }
-          exp = obs;  // renew a nearly-expired lease / steal an expired one
-          if (local &&
-              cluster_.fabric().atomic_level() == rdma::AtomicLevel::kGlob) {
-            SpinFor(cfg.latency.LocalCasNs());
-            // drtm-lint: allow(TX03 local stand-in for an RDMA CAS verb on GLOB-coherent NICs)
-            obs = htm::StrongCas64(host->StatePtr(ref.entry_off), exp,
-                                   desired);
-          } else if (cluster_.fabric().Cas(
-                         ref.node, ref.entry_off + store::kEntryStateOffset,
-                         exp, desired, &obs) != rdma::OpStatus::kOk) {
-            node_down = true;
-            break;
-          }
-        }
-      }
-    }
-
-    // Phase 4: prefetch every leased record in one overlapped scatter.
-    if (!node_down && !conflict) {
-      std::vector<std::vector<uint8_t>> raws(refs_.size());
-      rdma::PhaseScatter scatter(cluster_.fabric(), sq_cfg,
-                                 &stat::ScatterPrefetchIds());
-      for (size_t i = 0; i < refs_.size(); ++i) {
-        RoRef& ref = refs_[i];
-        if (!ref.found) {
-          continue;
-        }
-        ref.buf.resize(cluster_.table(ref.table).value_size);
-        raws[i].resize(sizeof(store::EntryHeader) + ref.buf.size());
-        scatter.To(ref.node).PostRead(ref.entry_off, raws[i].data(),
-                                      raws[i].size());
-      }
-      std::vector<rdma::ScatterCompletion> comps;
-      scatter.Gather(&comps);
-      for (const rdma::ScatterCompletion& sc : comps) {
-        if (sc.comp.status != rdma::OpStatus::kOk) {
-          node_down = true;
-        }
-      }
-      for (size_t i = 0; i < refs_.size() && !node_down; ++i) {
-        if (raws[i].empty()) {
-          continue;
-        }
-        RoRef& ref = refs_[i];
-        store::EntryHeader header;
-        std::memcpy(&header, raws[i].data(), sizeof(header));
-        if (header.key != ref.key) {
-          conflict = true;  // deleted under us; retry
-          break;
-        }
-        std::memcpy(ref.buf.data(), raws[i].data() + sizeof(header),
-                    ref.buf.size());
-      }
-    }
-
-    if (node_down) {
+    if (sr == StartResult::kNodeDown) {
       ++stats.node_failures;
       stat::Registry::Global().Add(Ids().node_failure);
       return TxnStatus::kNodeFailure;
     }
-    if (!conflict) {
-      // Confirmation: all leases still valid at one instant (Fig. 8).
-      const uint64_t now = cluster_.synctime().ReadStrong(worker_->node());
-      bool all_valid = true;
-      for (const RoRef& ref : refs_) {
-        if (ref.found && !LeaseValid(ref.lease_end, now, cfg.delta_us)) {
-          all_valid = false;
-          break;
-        }
-      }
-      if (all_valid) {
-        ++stats.read_only_committed;
-        stat::Registry::Global().Add(Ids().ro_commit);
-        return TxnStatus::kCommitted;
-      }
+    // Confirmation: all leases still valid at one instant (Fig. 8).
+    if (sr == StartResult::kOk && txn_.LeasesValid(txn_.refs_)) {
+      ++stats.read_only_committed;
+      stat::Registry::Global().Add(Ids().ro_commit);
+      return TxnStatus::kCommitted;
     }
+    txn_.ResetRefsForRetry();
     ++stats.read_only_retries;
     stat::Registry::Global().Add(Ids().ro_retry);
-    worker_->Backoff(attempt);
+    txn_.worker_->Backoff(attempt);
   }
   return TxnStatus::kAborted;
 }
 
 bool ReadOnlyTransaction::Get(int table, uint64_t key, void* out) const {
-  for (const RoRef& ref : refs_) {
-    if (ref.table == table && ref.key == key) {
-      if (!ref.found) {
-        return false;
-      }
-      std::memcpy(out, ref.buf.data(), ref.buf.size());
-      return true;
-    }
+  const Transaction::Ref* ref = txn_.FindRef(table, key);
+  if (ref == nullptr || !ref->found) {
+    return false;
   }
-  return false;
+  std::memcpy(out, ref->buf.data(), ref->value_size);
+  return true;
 }
 
 uint64_t ReadOnlyTransaction::LeaseEndOf(int table, uint64_t key) const {
-  for (const RoRef& ref : refs_) {
-    if (ref.table == table && ref.key == key) {
-      return ref.found ? ref.lease_end : 0;
-    }
-  }
-  return 0;
+  const Transaction::Ref* ref = txn_.FindRef(table, key);
+  return ref != nullptr && ref->found ? ref->lease_end : 0;
 }
 
 }  // namespace txn

@@ -28,6 +28,7 @@
 #include "src/common/histogram.h"
 #include "src/common/rand.h"
 #include "src/htm/htm.h"
+#include "src/rdma/verbs_batch.h"
 #include "src/replay/replay_log.h"
 #include "src/txn/cluster.h"
 
@@ -172,10 +173,18 @@ struct ChainLock {
 TxnStatus AcquireChainLocks(Worker* worker, uint64_t chain_id,
                             std::vector<ChainLock>* locks);
 void ReleaseChainLocks(Worker* worker, std::vector<ChainLock>* locks);
+// Ends a chain that will not finish: releases its locks and, when
+// logging is on, appends a Complete record under chain_id, so that its
+// lock-ahead and resume markers no longer pin the log ring.
+void AbortChain(Worker* worker, uint64_t chain_id,
+                std::vector<ChainLock>* locks);
 
 class Transaction {
  public:
   using Body = std::function<bool(Transaction&)>;
+  // Read-only transactions reuse the refs and the resolve, lease and
+  // prefetch phases of this class.
+  friend class ReadOnlyTransaction;
 
   explicit Transaction(Worker* worker);
 
@@ -275,7 +284,44 @@ class Transaction {
   };
 
   Ref* FindRef(int table, uint64_t key);
+  const Ref* FindRef(int table, uint64_t key) const {
+    return const_cast<Transaction*>(this)->FindRef(table, key);
+  }
   void SortRefs();
+  rdma::SendQueue::Config SqConfig() const {
+    return rdma::SendQueue::Config{cfg_.rdma_batch_window};
+  }
+
+  // --- phases shared by the HTM start, the fallback and read-only
+  // transactions: resolve -> lock/lease -> prefetch. Each path keeps
+  // its own first-round lock/lease policy.
+  // Starts an attempt: captures the softtime, sets our lease end to
+  // now + lease_us and re-resolves every ref's owner node.
+  void BeginAttempt(uint64_t lease_us);
+  // Resolves the entry_off of every ref in `refs`: local ones by a local
+  // lookup, remote ones scatter-resolved (one overlapped doorbell per
+  // target node per chain round). Returns false if a target died
+  // mid-walk.
+  bool ResolveRefs(const std::vector<Ref*>& refs);
+  // Reads the header+value image of every found ref in `refs` in one
+  // overlapped scatter round, then parses each (PrefetchFromRaw).
+  StartResult PrefetchRefs(const std::vector<Ref*>& refs);
+  // True if a lease ending at `end` leaves a sharer with a lease of
+  // length lease_us enough time to confirm it at commit.
+  bool LeaseShareable(uint64_t end, uint64_t now, uint64_t lease_us) const;
+  // Drives a state word last seen as `observed` to a lease we hold:
+  // shares a healthy lease, renews a short one, steals an expired one,
+  // and (with `wait`) waits out a write lock; a lease we install ends at
+  // `end`. kConflict on a write lock without `wait`.
+  StartResult LeaseCasLoop(Ref& ref, bool wait, uint64_t observed,
+                           uint64_t end, uint64_t lease_us);
+  // True if every leased ref's lease is still valid now.
+  bool LeasesValid(const std::vector<Ref>& refs) const;
+  // Appends this transaction's Complete record (logging on).
+  void AppendComplete();
+  // Closes this transaction's lock-ahead records, if any were logged,
+  // once the locks they name are all released without a commit.
+  void CloseLockAhead();
 
   // HTM path.
   StartResult StartPhase();
@@ -286,10 +332,6 @@ class Transaction {
   // trips, not 2k serial ones. Contended refs (failed first CAS, locked
   // probe) drop to the scalar helpers.
   StartResult BatchedStartRemote(const std::vector<Ref*>& remote);
-  // Scatter-resolves every ref in `remote` (entry_off lookup, one
-  // overlapped doorbell per target node per chain round). Returns false
-  // if a target died mid-walk.
-  bool ResolveRemoteRefs(const std::vector<Ref*>& remote);
   void ConfirmLeasesInHtm();
   void WriteWalInHtm();
   // Returns false when a chaos crash point abandoned the release
@@ -316,14 +358,19 @@ class Transaction {
 
   // Fallback path (section 6.2).
   TxnStatus RunFallback(const Body& body);
-  // Optimistic batched first pass of the 2PL fallback: every lock CAS /
-  // lease CAS rides one overlapped scatter round, then every prefetch a
-  // second — strictly non-blocking, so acquiring out of the global order
-  // is deadlock-free. kConflict means some ref came back contended;
-  // everything acquired has been released and the caller must drop to
+  // Optimistic batched first pass of the 2PL fallback: a blind lock /
+  // lease CAS on every resolved record, all riding one overlapped
+  // scatter round — strictly non-blocking, so acquiring out of the
+  // global order is deadlock-free. kConflict means some ref came back
+  // contended; the caller must release everything acquired and drop to
   // the global-sort-order serial loop.
   StartResult OptimisticFallbackAcquire();
   bool ResolveRef(Ref& ref);  // strong/remote lookup of entry_off
+
+  // Read-only first round (Fig. 8): probes every resolved record's state
+  // word, then CASes our common lease onto every record that has no
+  // shareable one.
+  StartResult LeaseAllForReadOnly();
 
   // In-body helpers.
   bool LocalReadInHtm(Ref& ref, void* out);
@@ -365,6 +412,9 @@ class Transaction {
   std::vector<Ref> dynamic_refs_;
   bool dynamic_conflict_ = false;
   bool ran_ = false;
+  // A lock-ahead record was appended under txn_id_; an exit without a
+  // commit must close it (CloseLockAhead), or it pins the log ring.
+  bool lock_ahead_logged_ = false;
 };
 
 // Read-only transactions (paper section 4.5, Fig. 8).
@@ -390,19 +440,8 @@ class ReadOnlyTransaction {
   uint64_t LeaseEndOf(int table, uint64_t key) const;
 
  private:
-  struct RoRef {
-    int table;
-    uint64_t key;
-    int node;
-    bool found = false;
-    uint64_t entry_off = ~uint64_t{0};
-    uint64_t lease_end = 0;
-    std::vector<uint8_t> buf;
-  };
-
-  Worker* worker_;
-  Cluster& cluster_;
-  std::vector<RoRef> refs_;
+  // Holds the declared refs; never Run().
+  Transaction txn_;
 };
 
 }  // namespace txn

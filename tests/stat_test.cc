@@ -334,21 +334,6 @@ TEST(BenchReport, WritesFileAndRoundTrips) {
   std::remove(path.c_str());
 }
 
-TEST(Prometheus, ExportsCountersAndQuantiles) {
-  Registry registry;
-  registry.Add(registry.CounterId("htm.commit"), 41);
-  registry.Record(registry.TimerId("phase.commit_ns"), 700);
-  registry.GaugeSet(registry.GaugeId("rdma.window"), 16);
-  const std::string text = ExportPrometheus(registry.TakeSnapshot());
-  EXPECT_NE(text.find("# TYPE htm_commit counter"), std::string::npos);
-  EXPECT_NE(text.find("htm_commit 41"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE rdma_window gauge"), std::string::npos);
-  EXPECT_NE(text.find("rdma_window 16"), std::string::npos);
-  EXPECT_NE(text.find("phase_commit_ns{quantile=\"0.5\"}"),
-            std::string::npos);
-  EXPECT_NE(text.find("phase_commit_ns_count 1"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace stat
 }  // namespace drtm
