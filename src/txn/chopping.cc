@@ -26,19 +26,68 @@ uint32_t MarkerDroppedId() {
 
 }  // namespace
 
+TxnStatus ChoppedTransaction::AcquireChainLocks(Transaction& chain) {
+  using StartResult = Transaction::StartResult;
+  // Global <table, key> order, like the 2PL fallback: waiting while
+  // holding earlier chain locks is deadlock-free.
+  chain.SortRefs();
+  std::vector<Transaction::Ref*> all;
+  for (Transaction::Ref& ref : chain.refs_) {
+    all.push_back(&ref);
+  }
+  if (!chain.ResolveRefs(all)) {
+    return TxnStatus::kNodeFailure;
+  }
+  for (const Transaction::Ref* ref : all) {
+    if (!ref->found) {
+      return TxnStatus::kAborted;
+    }
+  }
+  // One lock-ahead record for the whole chain, under the chain id: if
+  // this machine dies mid-chain, recovery releases the chain locks it
+  // still owns (the resumed chain re-acquires them).
+  if (!chain.AppendLockAhead(all)) {
+    return TxnStatus::kAborted;
+  }
+  for (Transaction::Ref* ref : all) {
+    const StartResult result = chain.AcquireExclusive(*ref, /*wait=*/true);
+    if (result == StartResult::kNodeDown) {
+      chain.ReleaseAndReset();
+      return TxnStatus::kNodeFailure;
+    }
+    if (result == StartResult::kConflict) {
+      AbortChain(chain);
+      return TxnStatus::kAborted;
+    }
+  }
+  return TxnStatus::kCommitted;
+}
+
+void ChoppedTransaction::AbortChain(Transaction& chain) {
+  chain.ReleaseAndReset();
+  if (chain.cfg_.logging) {
+    // Nothing of the chain stays pending, so its lock-ahead and resume
+    // markers are closed: recovery then leaves the chain alone, and
+    // ReclaimSpace can drop their epochs.
+    chain.AppendComplete();
+  }
+}
+
 TxnStatus ChoppedTransaction::RunFrom(Worker* worker, size_t first_piece) {
   Cluster& cluster = worker->cluster();
   const bool logging = cluster.config().logging;
   const bool chained = pieces_.size() > 1;
-  const uint64_t chain_id =
-      cluster.NextTxnId(worker->node(), worker->worker_id());
+  Transaction chain(worker);
+  chain.txn_id_ = cluster.NextTxnId(worker->node(), worker->worker_id());
+  for (const auto& [table, key] : chain_locks_) {
+    chain.AddWrite(table, key);
+  }
 
   // All chain locks are acquired before the first piece runs and held
   // until after the last (§4.6). A resumed chain re-acquires them —
   // recovery released the crashed node's.
   if (chained && !chain_locks_.empty()) {
-    const TxnStatus lock_status =
-        AcquireChainLocks(worker, chain_id, &chain_locks_);
+    const TxnStatus lock_status = AcquireChainLocks(chain);
     if (lock_status != TxnStatus::kCommitted) {
       return lock_status;
     }
@@ -50,34 +99,41 @@ TxnStatus ChoppedTransaction::RunFrom(Worker* worker, size_t first_piece) {
   // has not started, so recovery resumes exactly here.
   static const uint32_t kChopPoint =
       chaos::Injector::Global().Point("log.chop");
+  // Logs a {next_piece, total} marker under the chain id and seals it, so
+  // that it is recovery-visible before anything after it becomes
+  // visible. A marker that cannot be logged is counted as dropped.
+  auto log_marker = [&](size_t next_piece) {
+    const ChopInfo info{static_cast<uint32_t>(next_piece),
+                        static_cast<uint32_t>(pieces_.size())};
+    NvramLog* log = cluster.log(worker->node());
+    if (log->AppendOutsideHtm(worker->worker_id(), LogType::kChopInfo,
+                              chain.txn_id_, &info,
+                              sizeof(info)) != AppendStatus::kOk) {
+      stat::Registry::Global().Add(MarkerDroppedId());
+      return false;
+    }
+    log->Externalize(worker->worker_id());
+    return true;
+  };
 
   for (size_t i = first_piece; i < pieces_.size(); ++i) {
     if (chained) {
-      if (logging) {
-        // Remaining-piece record ahead of each piece: on recovery, the
-        // highest logged index is the chain's resume point (§4.6).
-        const ChopInfo info{static_cast<uint32_t>(i),
-                            static_cast<uint32_t>(pieces_.size())};
-        NvramLog* log = cluster.log(worker->node());
-        if (log->AppendOutsideHtm(worker->worker_id(), LogType::kChopInfo,
-                                  chain_id, &info,
-                                  sizeof(info)) != AppendStatus::kOk) {
-          // No resume marker can be made durable even with the flush
-          // pipeline drained and every completed epoch reclaimed. Never
-          // keep the chain locks on a live node — no caller resumes an
-          // aborted chain, so the keys would stay write-locked until a
-          // crash. Release and surface a retryable abort; mid-chain
-          // (pieces < i committed) the retried chain re-runs those
-          // pieces, which catalog pieces after the first are written to
-          // tolerate — the same idempotence contract recovery's resume
-          // path relies on.
-          stat::Registry::Global().Add(MarkerDroppedId());
-          AbortChain(worker, chain_id, &chain_locks_);
-          return TxnStatus::kAborted;
-        }
-        // The resume marker must be recoverable before the piece makes any
-        // of its effects visible (it runs under already-held chain locks).
-        log->Externalize(worker->worker_id());
+      // Remaining-piece record ahead of each piece: on recovery, the
+      // highest logged index is the chain's resume point (§4.6). It must
+      // be recoverable before the piece makes any of its effects visible
+      // (it runs under already-held chain locks).
+      if (logging && !log_marker(i)) {
+        // No resume marker can be made durable even with the flush
+        // pipeline drained and every completed epoch reclaimed. Never
+        // keep the chain locks on a live node — no caller resumes an
+        // aborted chain, so the keys would stay write-locked until a
+        // crash. Release and surface a retryable abort; mid-chain
+        // (pieces < i committed) the retried chain re-runs those
+        // pieces, which catalog pieces after the first are written to
+        // tolerate — the same idempotence contract recovery's resume
+        // path relies on.
+        AbortChain(chain);
+        return TxnStatus::kAborted;
       }
       if (chaos::Check(kChopPoint, worker->node()).kind ==
           chaos::Decision::Kind::kAbandon) {
@@ -86,8 +142,8 @@ TxnStatus ChoppedTransaction::RunFrom(Worker* worker, size_t first_piece) {
     }
     Transaction txn(worker);
     pieces_[i].declare(txn);
-    for (const ChainLock& lock : chain_locks_) {
-      txn.MarkChainLocked(lock.table, lock.key);
+    for (const auto& [table, key] : chain_locks_) {
+      txn.MarkChainLocked(table, key);
     }
     const TxnStatus status = txn.Run(pieces_[i].body);
     assert((status != TxnStatus::kUserAbort || i == 0) &&
@@ -97,7 +153,7 @@ TxnStatus ChoppedTransaction::RunFrom(Worker* worker, size_t first_piece) {
       // Nothing from this (possibly resumed) chain segment committed;
       // release so the caller can retry the chain from scratch.
       if (chained) {
-        AbortChain(worker, chain_id, &chain_locks_);
+        AbortChain(chain);
       }
       return status;
     }
@@ -108,33 +164,21 @@ TxnStatus ChoppedTransaction::RunFrom(Worker* worker, size_t first_piece) {
     }
   }
   if (chained) {
+    // Chain-complete marker: {total, total} tells recovery there is
+    // nothing left to resume. It must be durable before the chain locks
+    // are released — resuming a "finished" chain would re-run its last
+    // piece — so a full segment is ridden out (drain + reclaim + retry)
+    // rather than the marker being dropped. If it still cannot be
+    // persisted (segment pinned by unfinished transactions even after
+    // draining, or an injected append fault), the locks are released
+    // anyway: holding them forever would wedge every later writer on
+    // these keys, and if this node later crashes, recovery resumes at
+    // the final piece and re-runs it, which catalog pieces after the
+    // first are written to tolerate.
     if (logging) {
-      // Chain-complete marker: {total, total} tells recovery there is
-      // nothing left to resume. It must be durable before the chain
-      // locks are released — resuming a "finished" chain would re-run
-      // its last piece — so a full segment is ridden out (drain +
-      // reclaim + retry) rather than the marker being dropped.
-      const ChopInfo info{static_cast<uint32_t>(pieces_.size()),
-                          static_cast<uint32_t>(pieces_.size())};
-      NvramLog* log = cluster.log(worker->node());
-      if (log->AppendOutsideHtm(worker->worker_id(), LogType::kChopInfo,
-                                chain_id, &info,
-                                sizeof(info)) == AppendStatus::kOk) {
-        // Seal before the release below so the marker is
-        // recovery-visible before the locks go.
-        log->Externalize(worker->worker_id());
-      } else {
-        // The marker cannot be persisted (segment pinned by unfinished
-        // transactions even after draining, or an injected append
-        // fault). Holding the chain locks forever would wedge every
-        // later writer on these keys, so release anyway and count the
-        // drop: if this node later crashes, recovery resumes at the
-        // final piece and re-runs it, which catalog pieces after the
-        // first are written to tolerate.
-        stat::Registry::Global().Add(MarkerDroppedId());
-      }
+      log_marker(pieces_.size());
     }
-    ReleaseChainLocks(worker, &chain_locks_);
+    chain.ReleaseAndReset();
   }
   return TxnStatus::kCommitted;
 }

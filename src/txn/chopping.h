@@ -23,6 +23,7 @@
 #define SRC_TXN_CHOPPING_H_
 
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/txn/transaction.h"
@@ -49,7 +50,7 @@ class ChoppedTransaction {
   // Acquired (in global order) before the first piece, released after the
   // last; pieces that declare it are marked chain-locked automatically.
   void AddChainLock(int table, uint64_t key) {
-    chain_locks_.push_back(ChainLock{table, key});
+    chain_locks_.emplace_back(table, key);
   }
 
   size_t piece_count() const { return pieces_.size(); }
@@ -68,8 +69,20 @@ class ChoppedTransaction {
   TxnStatus RunFrom(Worker* worker, size_t first_piece);
 
  private:
+  // `chain` is a never-run Transaction whose write refs are the chain
+  // locks and whose id is the chain id. Acquires them in global <table,
+  // key> order, waiting out holders and leases like the 2PL fallback,
+  // after logging one lock-ahead record for them all. On failure every
+  // lock taken is released. kAborted on conflict or a missing record,
+  // kNodeFailure when an owner node is down.
+  static TxnStatus AcquireChainLocks(Transaction& chain);
+  // Ends a chain that will not finish: releases its locks and, when
+  // logging is on, appends a Complete record under the chain id, so that
+  // its lock-ahead and resume markers no longer pin the log ring.
+  static void AbortChain(Transaction& chain);
+
   std::vector<Piece> pieces_;
-  std::vector<ChainLock> chain_locks_;
+  std::vector<std::pair<int, uint64_t>> chain_locks_;  // <table, key>
 };
 
 }  // namespace txn

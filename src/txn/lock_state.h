@@ -1,7 +1,8 @@
 // The 64-bit lock/lease state word guarding every record (paper Fig. 4):
 //
 //   bit 0      : write (exclusive) lock
-//   bits 1..8  : owner machine id (kept for durability/recovery, §4.6)
+//   bits 1..8  : owner machine id (kept for durability/recovery, §4.6);
+//                a lease has no owner, so bit 1 marks a renewed lease
 //   bits 9..63 : read-lease end time, microseconds (shared lock)
 //
 // INIT (0) means unlocked and unleased. The word is manipulated only by
@@ -40,6 +41,19 @@ inline uint64_t LeaseEnd(uint64_t state) { return state >> kLeaseShift; }
 
 inline bool HasLease(uint64_t state) {
   return !IsWriteLocked(state) && LeaseEnd(state) != 0;
+}
+
+// A lease is renewed in place at most once: a writer waiting one out then
+// sees it expire within about two lease lengths, however often readers
+// come back for it.
+inline constexpr uint64_t kLeaseRenewed = 2;
+
+inline uint64_t MakeRenewedLease(uint64_t end_time_us) {
+  return MakeLease(end_time_us) | kLeaseRenewed;
+}
+
+inline bool IsRenewedLease(uint64_t state) {
+  return HasLease(state) && (state & kLeaseRenewed) != 0;
 }
 
 // EXPIRED / VALID from Fig. 4. DELTA absorbs the clock skew between

@@ -98,6 +98,11 @@ NvramLog::NvramLog(rdma::NodeMemory* memory, int workers, size_t segment_bytes,
                    const LogEpochConfig& epoch)
     : memory_(memory), segment_bytes_(segment_bytes), epoch_cfg_(epoch) {
   assert(segment_bytes_ >= 2 * kEpochHeaderBytes);
+  if (!epoch_cfg_.group_commit) {
+    // Synchronous mode is the degenerate 1-record epoch: a zero byte
+    // threshold seals every epoch right after its first outside-HTM record.
+    epoch_cfg_.epoch_bytes = 0;
+  }
   segments_.reserve(static_cast<size_t>(workers));
   for (int i = 0; i < workers; ++i) {
     SegmentRef ref;
@@ -129,7 +134,6 @@ AppendStatus NvramLog::TryAppend(int worker, LogType type, uint64_t txn_id,
   const bool in_htm = htm::HtmThread::Current() != nullptr;
   if (!in_htm) {
     Poll(worker);
-    MaybeSealOnThreshold(worker);
   }
   const uint64_t need = kHeaderBytes + Align8(len);
   bool reclaimed = false;
@@ -249,13 +253,7 @@ AppendStatus NvramLog::TryAppend(int worker, LogType type, uint64_t txn_id,
       if (open_epoch) {
         flush_[static_cast<size_t>(worker)]->epoch_open_ns = MonotonicNanos();
       }
-      if (!epoch_cfg_.group_commit) {
-        // Synchronous baseline: every record is its own sealed epoch
-        // (the degenerate 1-record epoch) and is submitted immediately.
-        SealAndSubmit(worker);
-      } else {
-        MaybeSealOnThreshold(worker);
-      }
+      MaybeSealOnThreshold(worker);
     }
     return AppendStatus::kOk;
   }
@@ -442,13 +440,11 @@ uint64_t NvramLog::NoteCommit(int worker, uint64_t txn_id) {
     }
     state.acks.push_back(PendingAck{txn_id, lsn, commit_ns});
   }
+  MaybeSealOnThreshold(worker);
   if (!epoch_cfg_.group_commit) {
     // Synchronous durability: commit is acknowledged only at flush, and
     // the flush is waited out right here on the commit path.
-    SealAndSubmit(worker);
     WaitFlushed(worker, lsn);
-  } else {
-    MaybeSealOnThreshold(worker);
   }
   return lsn;
 }
@@ -470,10 +466,6 @@ void NvramLog::WaitDurable(int worker, uint64_t txn_id) {
     if (!found) {
       return;  // never registered, or its epoch already flushed
     }
-  }
-  const SegmentRef& seg = segments_[static_cast<size_t>(worker)];
-  if (htm::StrongLoad(Ctrl(seg, kSealedSlot)) < lsn) {
-    SealAndSubmit(worker);
   }
   WaitFlushed(worker, lsn);
 }
@@ -507,8 +499,8 @@ void NvramLog::WaitFlushed(int worker, uint64_t lsn) {
       }
     }
     if (spin_until == 0) {
-      // Sealed frontier below lsn: the owner must seal first. This only
-      // happens on WaitDurable misuse; seal and retry.
+      // Sealed frontier below lsn (WaitDurable on a still-open epoch):
+      // seal and retry.
       SealAndSubmit(worker);
       continue;
     }
@@ -649,36 +641,35 @@ bool NvramLog::ReclaimSpace(int worker) {
     }
     return pos;
   };
-  auto each_record = [&](uint64_t from, uint64_t to,
-                         const std::function<void(const RecordHeader&)>& fn) {
-    uint64_t dpos = from;
-    while (dpos + kHeaderBytes <= to) {
-      RecordHeader rec;
-      std::memcpy(&rec, SegAt(seg, dpos), sizeof(rec));
-      fn(rec);
-      dpos += kHeaderBytes + Align8(rec.len);
-    }
-  };
+  auto each_record =
+      [&](uint64_t from, uint64_t to,
+          const std::function<void(const RecordHeader&, const uint8_t*)>& fn) {
+        uint64_t dpos = from;
+        while (dpos + kHeaderBytes <= to) {
+          RecordHeader rec;
+          std::memcpy(&rec, SegAt(seg, dpos), sizeof(rec));
+          fn(rec, SegAt(seg, dpos) + kHeaderBytes);
+          dpos += kHeaderBytes + Align8(rec.len);
+        }
+      };
   walk(base, [&](uint64_t dend, uint64_t dstart) {
-    uint64_t dpos = dstart;
-    while (dpos + kHeaderBytes <= dend) {
-      RecordHeader rec;
-      std::memcpy(&rec, SegAt(seg, dpos), sizeof(rec));
-      if (rec.type == static_cast<uint8_t>(LogType::kComplete)) {
-        done.insert(rec.txn_id);
-      } else if (rec.type == static_cast<uint8_t>(LogType::kChopInfo) &&
-                 rec.len >= 2 * sizeof(uint32_t)) {
-        uint32_t piece = 0;
-        uint32_t total = 0;
-        std::memcpy(&piece, SegAt(seg, dpos) + kHeaderBytes, sizeof(piece));
-        std::memcpy(&total, SegAt(seg, dpos) + kHeaderBytes + sizeof(piece),
-                    sizeof(total));
-        auto& entry = chains[rec.txn_id];
-        entry.first = std::max(entry.first, piece);
-        entry.second = total;
-      }
-      dpos += kHeaderBytes + Align8(rec.len);
-    }
+    each_record(dstart, dend,
+                [&](const RecordHeader& rec, const uint8_t* payload) {
+                  if (rec.type == static_cast<uint8_t>(LogType::kComplete)) {
+                    done.insert(rec.txn_id);
+                  } else if (rec.type ==
+                                 static_cast<uint8_t>(LogType::kChopInfo) &&
+                             rec.len >= 2 * sizeof(uint32_t)) {
+                    uint32_t piece = 0;
+                    uint32_t total = 0;
+                    std::memcpy(&piece, payload, sizeof(piece));
+                    std::memcpy(&total, payload + sizeof(piece),
+                                sizeof(total));
+                    auto& entry = chains[rec.txn_id];
+                    entry.first = std::max(entry.first, piece);
+                    entry.second = total;
+                  }
+                });
     return true;
   });
   for (const auto& [id, mt] : chains) {
@@ -691,7 +682,7 @@ bool NvramLog::ReclaimSpace(int worker) {
   // obligation-carrying record belongs to a finished transaction.
   uint64_t new_base = walk(base, [&](uint64_t dend, uint64_t dstart) {
     bool reclaimable = true;
-    each_record(dstart, dend, [&](const RecordHeader& rec) {
+    each_record(dstart, dend, [&](const RecordHeader& rec, const uint8_t*) {
       switch (static_cast<LogType>(rec.type)) {
         case LogType::kLockAhead:
         case LogType::kWriteAhead:

@@ -96,11 +96,12 @@ enum class AppendStatus : uint8_t {
 
 // Group-commit knobs, mirrored from ClusterConfig by the cluster.
 struct LogEpochConfig {
-  // false = synchronous baseline: every record seals its own epoch and
-  // the commit acknowledgement (NoteCommit) waits out its flush — the
-  // degenerate 1-record epoch ISSUE 9 sweeps against.
+  // false = synchronous baseline, the degenerate 1-record epoch: the
+  // byte threshold is 0, so every outside-HTM record seals its epoch, and
+  // the commit acknowledgement (NoteCommit) waits out its flush.
   bool group_commit = false;
-  // Seal the open epoch once it holds this many data bytes...
+  // Seal the open epoch once it holds this many data bytes (group commit
+  // only)...
   size_t epoch_bytes = size_t{64} << 10;
   // ...or once it has been open this long (checked at outside-HTM log
   // touches; 0 disables the timer).
@@ -255,7 +256,8 @@ class NvramLog {
   // publish) and submits its flush. Outside HTM only; no-op without an
   // open epoch. Returns the sealed LSN (== head).
   uint64_t SealAndSubmit(int worker);
-  // Seals if a byte/time threshold tripped (group-commit mode).
+  // Seals if a byte/time threshold tripped (the byte threshold is 0 in
+  // synchronous mode).
   void MaybeSealOnThreshold(int worker);
   void SubmitFlush(int worker, uint64_t end_lsn, size_t bytes);
   // Poll core with state.mu held.

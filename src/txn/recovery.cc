@@ -25,6 +25,24 @@ struct TxnLogState {
   uint32_t chop_total = 0;  // 0 = not a chopped chain
 };
 
+// Releases the write lock whose state word sits at (node, state_off) if
+// the crashed node still owns it: reads the lock word and CASes it back
+// to INIT. Returns 1 if this call released it, else 0.
+int ReleaseOwnedLock(rdma::Fabric& fabric, int node, uint64_t state_off,
+                     int crashed_node) {
+  uint64_t lock_word = 0;
+  if (!fabric.IsAlive(node) ||
+      fabric.Read(node, state_off, &lock_word, sizeof(lock_word)) !=
+          rdma::OpStatus::kOk ||
+      !IsWriteLocked(lock_word) || LockOwner(lock_word) != crashed_node) {
+    return 0;
+  }
+  uint64_t observed = 0;
+  return fabric.Cas(node, state_off, lock_word, kStateInit, &observed) ==
+                 rdma::OpStatus::kOk &&
+         observed == lock_word;
+}
+
 }  // namespace
 
 RecoveryManager::Report RecoveryManager::Recover(int crashed_node) {
@@ -65,41 +83,13 @@ RecoveryManager::Report RecoveryManager::Recover(int crashed_node) {
 
   rdma::Fabric& fabric = cluster_->fabric();
   for (auto& [txn_id, state] : txns) {
-    if (state.complete) {
+    // A chopped chain's {total, total} marker means it finished (its
+    // locks were released by the chain itself).
+    if (state.complete ||
+        (state.chop_total != 0 && state.chop_max >= state.chop_total)) {
       continue;
     }
-    if (state.chop_total != 0) {
-      // A chopped chain. {total, total} marks it finished (its locks were
-      // released by the chain itself); anything less is a resume point —
-      // release the chain locks the crashed node still owns (the
-      // lock-ahead under the chain id names them; RunFrom re-acquires)
-      // and report the chain so the caller can finish it.
-      if (state.chop_max >= state.chop_total) {
-        continue;
-      }
-      for (const LogLock& lock : state.locks) {
-        if (!fabric.IsAlive(lock.node)) {
-          continue;
-        }
-        uint64_t lock_word = 0;
-        if (fabric.Read(lock.node, lock.state_off, &lock_word,
-                        sizeof(lock_word)) != rdma::OpStatus::kOk) {
-          continue;
-        }
-        if (IsWriteLocked(lock_word) && LockOwner(lock_word) == crashed_node) {
-          uint64_t observed = 0;
-          if (fabric.Cas(lock.node, lock.state_off, lock_word, kStateInit,
-                         &observed) == rdma::OpStatus::kOk &&
-              observed == lock_word) {
-            ++report.released_locks;
-          }
-        }
-      }
-      report.pending_chains.push_back(
-          PendingChain{txn_id, state.chop_max, state.chop_total});
-      continue;
-    }
-    if (state.has_wal) {
+    if (state.chop_total == 0 && state.has_wal) {
       // Committed: redo remote updates (version decides order), then
       // release the locks the transaction still holds.
       ++report.committed_txns;
@@ -136,45 +126,26 @@ RecoveryManager::Report RecoveryManager::Recover(int crashed_node) {
               }
             }
             // Release the exclusive lock if the crashed machine owns it.
-            const uint64_t state_off =
-                update.entry_off + store::kEntryStateOffset;
-            uint64_t lock_word = 0;
-            if (fabric.Read(update.node, state_off, &lock_word,
-                            sizeof(lock_word)) != rdma::OpStatus::kOk) {
-              return;
-            }
-            if (IsWriteLocked(lock_word) &&
-                LockOwner(lock_word) == crashed_node) {
-              uint64_t observed = 0;
-              if (fabric.Cas(update.node, state_off, lock_word, kStateInit,
-                             &observed) == rdma::OpStatus::kOk &&
-                  observed == lock_word) {
-                ++report.released_locks;
-              }
-            }
+            report.released_locks += ReleaseOwnedLock(
+                fabric, update.node,
+                update.entry_off + store::kEntryStateOffset, crashed_node);
           });
+      continue;
+    }
+    // Aborted, or a chain with pieces left: the lock-ahead log names
+    // every record it may have locked; clear the ones still owned by the
+    // crashed node. A chain's highest logged piece is its resume point;
+    // it is reported so the caller can finish it (RunFrom re-acquires
+    // its locks).
+    for (const LogLock& lock : state.locks) {
+      report.released_locks +=
+          ReleaseOwnedLock(fabric, lock.node, lock.state_off, crashed_node);
+    }
+    if (state.chop_total != 0) {
+      report.pending_chains.push_back(
+          PendingChain{txn_id, state.chop_max, state.chop_total});
     } else if (!state.locks.empty()) {
-      // Aborted: the lock-ahead log names every record the transaction
-      // may have locked; clear the ones still owned by the crashed node.
       ++report.aborted_txns;
-      for (const LogLock& lock : state.locks) {
-        if (!fabric.IsAlive(lock.node)) {
-          continue;
-        }
-        uint64_t lock_word = 0;
-        if (fabric.Read(lock.node, lock.state_off, &lock_word,
-                        sizeof(lock_word)) != rdma::OpStatus::kOk) {
-          continue;
-        }
-        if (IsWriteLocked(lock_word) && LockOwner(lock_word) == crashed_node) {
-          uint64_t observed = 0;
-          if (fabric.Cas(lock.node, lock.state_off, lock_word, kStateInit,
-                         &observed) == rdma::OpStatus::kOk &&
-              observed == lock_word) {
-            ++report.released_locks;
-          }
-        }
-      }
     }
   }
   return report;

@@ -33,6 +33,19 @@ void SleepUs(uint64_t us) {
   std::this_thread::sleep_for(std::chrono::microseconds(us));
 }
 
+// A WRITE of a committed transaction (write-back or unlock), retried
+// while the target is down: the paper's surviving workers wait for
+// recovery (Fig. 7(d)); recovery also clears locks from lock-ahead logs.
+void WriteUntilDelivered(rdma::Fabric& fabric, int node, uint64_t off,
+                         const void* data, size_t len) {
+  for (int attempt = 0; attempt < kWriteBackRetries; ++attempt) {
+    if (fabric.Write(node, off, data, len) == rdma::OpStatus::kOk) {
+      return;
+    }
+    SleepUs(1000);
+  }
+}
+
 // RAII bracket around one transaction attempt so the elastic tier's
 // DrainTxnWindows() can wait out every attempt that sampled hook or
 // routing state from before a toggle.
@@ -309,17 +322,18 @@ rdma::OpStatus Transaction::StateCas(const Ref& ref, uint64_t expected,
 }
 
 void Transaction::UnlockRef(const Ref& ref) {
-  const uint64_t state_off = ref.entry_off + store::kEntryStateOffset;
-  const uint64_t init = kStateInit;
-  for (int attempt = 0; attempt < kWriteBackRetries; ++attempt) {
-    if (cluster_.fabric().Write(ref.node, state_off, &init, sizeof(init)) ==
-        rdma::OpStatus::kOk) {
-      return;
-    }
-    // Target down: the paper's surviving workers wait for recovery
-    // (Fig. 7(d)); recovery also clears locks from lock-ahead logs.
-    SleepUs(1000);
+  if (ref.local &&
+      cluster_.fabric().atomic_level() == rdma::AtomicLevel::kGlob) {
+    // drtm-lint: allow(TX03 lock release on a state word we own, stands in for an RDMA WRITE)
+    htm::StrongStore(
+        cluster_.hash_table(ref.node, ref.table)->StatePtr(ref.entry_off),
+        kStateInit);
+    return;
   }
+  const uint64_t init = kStateInit;
+  WriteUntilDelivered(cluster_.fabric(), ref.node,
+                      ref.entry_off + store::kEntryStateOffset, &init,
+                      sizeof(init));
 }
 
 Transaction::StartResult Transaction::AcquireExclusive(Ref& ref, bool wait) {
@@ -399,14 +413,24 @@ bool Transaction::LeaseShareable(uint64_t end, uint64_t now,
   return end > now + 2 * cfg_.delta_us + lease_us / 8;
 }
 
+uint64_t Transaction::LeaseReplacement(uint64_t observed, uint64_t end,
+                                       uint64_t now) const {
+  if (LeaseExpired(LeaseEnd(observed), now, cfg_.delta_us)) {
+    return MakeLease(end);  // steal
+  }
+  // Renew in place: readers of the old end stay valid, but each renewal
+  // delays waiting writers, so a lease is renewed only once.
+  return IsRenewedLease(observed) ? kStateInit : MakeRenewedLease(end);
+}
+
 Transaction::StartResult Transaction::LeaseCasLoop(Ref& ref, bool wait,
                                                    uint64_t observed,
                                                    uint64_t end,
                                                    uint64_t lease_us) {
-  const uint64_t desired = MakeLease(end);
   int tries = 0;
   while (true) {
     uint64_t expected = observed;
+    uint64_t desired = MakeLease(end);
     if (IsWriteLocked(observed)) {
       if (!wait || ++tries > kWaitTriesLimit) {
         return StartResult::kConflict;
@@ -415,14 +439,22 @@ Transaction::StartResult Transaction::LeaseCasLoop(Ref& ref, bool wait,
       expected = kStateInit;
     } else if (HasLease(observed)) {
       // Read-read sharing adopts the existing lease and its end time —
-      // unless too little of it remains, in which case it is renewed in
-      // place (extending a lease only delays writers; readers of the old
-      // end stay valid). An expired lease is replaced by ours.
+      // unless too little of it remains, in which case it is renewed or
+      // stolen (LeaseReplacement).
       const uint64_t now = cluster_.synctime().ReadStrong(worker_->node());
       if (LeaseShareable(LeaseEnd(observed), now, lease_us)) {
         ref.leased = true;
         ref.lease_end = LeaseEnd(observed);
         return StartResult::kOk;
+      }
+      desired = LeaseReplacement(observed, end, now);
+      if (desired == kStateInit) {
+        // Renewed once already: wait it out like a writer, then steal.
+        if (!wait || ++tries > kWaitTriesLimit) {
+          return StartResult::kConflict;
+        }
+        SleepUs(20);
+        continue;
       }
     }
     if (StateCas(ref, expected, desired, &observed) != rdma::OpStatus::kOk) {
@@ -592,6 +624,38 @@ void Transaction::AppendComplete() {
                          nullptr, 0);
 }
 
+bool Transaction::AppendLockAhead(const std::vector<Ref*>& refs) {
+  // Chain-locked refs are excluded: their lock belongs to the chain
+  // (logged once under the chain id), and a per-piece lock-ahead entry
+  // would let recovery release the chain lock after a mere piece crash.
+  std::vector<LogLock> locks;
+  for (const Ref* ref : refs) {
+    if (cfg_.logging && ref->write && !ref->chain_locked) {
+      locks.push_back(LogLock{ref->node, ref->table, ref->key,
+                              ref->entry_off + store::kEntryStateOffset});
+    }
+  }
+  if (locks.empty()) {
+    return true;
+  }
+  const std::vector<uint8_t> payload = NvramLog::EncodeLocks(locks);
+  NvramLog* log = cluster_.log(worker_->node());
+  if (log->AppendOutsideHtm(worker_->worker_id(), LogType::kLockAhead,
+                            txn_id_, payload.data(),
+                            payload.size()) != AppendStatus::kOk) {
+    // Log full even after reclaiming, or the append itself faulted:
+    // without a lock-ahead record a crash would strand the locks, so
+    // none may be acquired.
+    return false;
+  }
+  lock_ahead_logged_ = true;
+  // Externalization barrier: the lock-ahead record must be
+  // recovery-visible (sealed) before any lock CAS lands, or a crash
+  // inside the locked window could not be repaired (§4.6).
+  log->Externalize(worker_->worker_id());
+  return true;
+}
+
 void Transaction::CloseLockAhead() {
   if (lock_ahead_logged_) {
     AppendComplete();
@@ -612,36 +676,8 @@ Transaction::StartResult Transaction::StartPhase() {
     return StartResult::kNodeDown;
   }
   std::erase_if(remote, [](const Ref* ref) { return !ref->found; });
-
-  // Lock-ahead log: which remote records this transaction is about to
-  // lock, so recovery can unlock them if we crash pre-commit (§4.6).
-  // Chain-locked refs are excluded: their lock belongs to the chain
-  // (logged once under the chain id), and a per-piece lock-ahead entry
-  // would let recovery release the chain lock after a mere piece crash.
-  std::vector<LogLock> locks;
-  for (const Ref* ref : remote) {
-    if (cfg_.logging && ref->write && !ref->chain_locked) {
-      locks.push_back(LogLock{ref->node, ref->table, ref->key,
-                              ref->entry_off + store::kEntryStateOffset});
-    }
-  }
-  if (!locks.empty()) {
-    const std::vector<uint8_t> payload = NvramLog::EncodeLocks(locks);
-    NvramLog* log = cluster_.log(worker_->node());
-    if (log->AppendOutsideHtm(worker_->worker_id(), LogType::kLockAhead,
-                              txn_id_, payload.data(),
-                              payload.size()) != AppendStatus::kOk) {
-      // Log full even after reclaiming, or the append itself faulted:
-      // without a lock-ahead record a pre-commit crash would strand the
-      // remote locks, so the transaction must not acquire them. Retry
-      // as a conflict.
-      return StartResult::kConflict;
-    }
-    lock_ahead_logged_ = true;
-    // Externalization barrier: the lock-ahead record must be
-    // recovery-visible (sealed) before any remote lock CAS lands, or a
-    // crash inside the locked window could not be repaired (§4.6).
-    log->Externalize(worker_->worker_id());
+  if (!AppendLockAhead(remote)) {
+    return StartResult::kConflict;  // retried; nothing is locked yet
   }
   return BatchedStartRemote(remote);
 }
@@ -840,15 +876,25 @@ void Transaction::WriteWalInHtm() {
   }
 }
 
-bool Transaction::WriteBackAndUnlock() {
+std::vector<uint8_t> Transaction::WriteBackBlob(const Ref& ref) const {
+  // Version, the still-held lock word, then the value: the entry's
+  // header and value are contiguous from kEntryVersionOffset.
   const uint64_t locked_val =
       MakeWriteLocked(static_cast<uint8_t>(worker_->node()));
+  const uint32_t new_version = ref.version + 1;
+  std::vector<uint8_t> blob(12 + ref.value_size);
+  std::memcpy(blob.data(), &new_version, 4);
+  std::memcpy(blob.data() + 4, &locked_val, 8);
+  std::memcpy(blob.data() + 12, ref.buf.data(), ref.value_size);
+  return blob;
+}
+
+bool Transaction::WriteBackAndUnlock() {
   const uint64_t init = kStateInit;
-  // Chaos crash point, mirrored from the ordered fallback's release
-  // loop: a machine dying here posts no further write-backs or unlocks
-  // and never writes its Complete record — recovery must redo the WAL
-  // updates and release the remaining locks.
-  static const uint32_t kFallbackUnlockPoint =
+  // Chaos crash point: a machine dying here posts no further write-backs
+  // or unlocks and never writes its Complete record — recovery must redo
+  // the WAL updates and release the remaining locks.
+  static const uint32_t kUnlockPoint =
       chaos::Injector::Global().Point("txn.fallback.unlock");
   bool release_abandoned = false;
   // Per ref: one WRITE for version + (still-held) state + value, then
@@ -857,7 +903,9 @@ bool Transaction::WriteBackAndUnlock() {
   // target's doorbell is rung before any is polled (PhaseScatter), so k
   // commit targets overlap into ~1 round trip. Each per-target send
   // queue executes in post order, so each unlock still lands after its
-  // write-back exactly as in the scalar sequence.
+  // write-back exactly as in the scalar sequence. Local records were
+  // written already (HTM region or fallback StrongWrite); their locks
+  // are released here too.
   std::vector<std::vector<uint8_t>> blobs(refs_.size());
   struct Posted {
     size_t ref_idx;
@@ -866,37 +914,37 @@ bool Transaction::WriteBackAndUnlock() {
   VerbOwners<Posted> owners;  // for failure handling
   rdma::PhaseScatter scatter(cluster_.fabric(), SqConfig(),
                              &stat::ScatterWritebackIds());
+  const bool glob =
+      cluster_.fabric().atomic_level() == rdma::AtomicLevel::kGlob;
   for (size_t i = 0; i < refs_.size(); ++i) {
     Ref& ref = refs_[i];
     // Chain-locked dirty remote refs are written back here too — the
     // state-word field of the blob re-writes the chain's own lock word
     // (a no-op) — but their unlock belongs to the chain, not this piece.
-    const bool chain_write_back = ref.chain_locked && ref.dirty && !ref.local;
-    if (!ref.locked && !chain_write_back) {
+    const bool write_back =
+        ref.dirty && !ref.local && (ref.locked || ref.chain_locked);
+    if (!ref.locked && !write_back) {
       continue;
     }
     if (!release_abandoned &&
-        chaos::Check(kFallbackUnlockPoint, ref.node).kind ==
+        chaos::Check(kUnlockPoint, ref.node).kind ==
             chaos::Decision::Kind::kAbandon) {
       release_abandoned = true;
     }
     if (release_abandoned) {
       continue;  // simulated death mid-release: lock stays held
     }
-    rdma::SendQueue& sq = scatter.To(ref.node);
-    if (ref.dirty) {
-      blobs[i].resize(12 + ref.value_size);
-      const uint32_t new_version = ref.version + 1;
-      std::memcpy(blobs[i].data(), &new_version, 4);
-      std::memcpy(blobs[i].data() + 4, &locked_val, 8);
-      std::memcpy(blobs[i].data() + 12, ref.buf.data(), ref.value_size);
-      const rdma::WrId id =
-          sq.PostWrite(ref.entry_off + store::kEntryVersionOffset,
-                       blobs[i].data(), blobs[i].size());
+    if (write_back) {
+      blobs[i] = WriteBackBlob(ref);
+      const rdma::WrId id = scatter.To(ref.node).PostWrite(
+          ref.entry_off + store::kEntryVersionOffset, blobs[i].data(),
+          blobs[i].size());
       owners.Add(ref.node, id, Posted{i, false});
     }
-    if (ref.locked) {
-      const rdma::WrId id = sq.PostWrite(
+    if (ref.locked && ref.local && glob) {
+      UnlockRef(ref);  // a processor store, no verb
+    } else if (ref.locked) {
+      const rdma::WrId id = scatter.To(ref.node).PostWrite(
           ref.entry_off + store::kEntryStateOffset, &init, sizeof(init));
       owners.Add(ref.node, id, Posted{i, true});
     }
@@ -913,19 +961,13 @@ bool Transaction::WriteBackAndUnlock() {
     // write-back failure is retried before its unlock, which also
     // failed and follows later in `comps`).
     const Posted& p = owners.Of(sc);
-    Ref& ref = refs_[p.ref_idx];
-    if (!p.unlock) {
-      for (int attempt = 0; attempt < kWriteBackRetries; ++attempt) {
-        if (cluster_.fabric().Write(
-                ref.node, ref.entry_off + store::kEntryVersionOffset,
-                blobs[p.ref_idx].data(),
-                blobs[p.ref_idx].size()) == rdma::OpStatus::kOk) {
-          break;
-        }
-        SleepUs(1000);
-      }
-    } else {
+    const Ref& ref = refs_[p.ref_idx];
+    if (p.unlock) {
       UnlockRef(ref);
+    } else {
+      WriteUntilDelivered(cluster_.fabric(), ref.node,
+                          ref.entry_off + store::kEntryVersionOffset,
+                          blobs[p.ref_idx].data(), blobs[p.ref_idx].size());
     }
   }
   if (!release_abandoned) {
@@ -936,18 +978,34 @@ bool Transaction::WriteBackAndUnlock() {
   return !release_abandoned;
 }
 
-void Transaction::ReleaseRemoteLocks() {
+TxnStatus Transaction::FinishCommit(bool held_locks, bool release_clean) {
+  if (replay::Armed() && held_locks) {
+    replay::Recorder::Global().RecordLockRelease(txn_id_, !release_clean);
+  }
+  // A chaos-abandoned release simulates the machine dying mid-commit; a
+  // dead machine logs and reports nothing more.
+  if (release_clean) {
+    if (cfg_.logging) {
+      AppendComplete();
+      cluster_.log(worker_->node())->NoteCommit(worker_->worker_id(), txn_id_);
+    }
+    NotifyCommittedWrites();
+  }
+  ++worker_->stats().committed;
+  stat::Registry::Global().Add(Ids().commit);
+  return TxnStatus::kCommitted;
+}
+
+bool Transaction::HoldsLocks() const {
+  return std::any_of(refs_.begin(), refs_.end(),
+                     [](const Ref& ref) { return ref.locked; });
+}
+
+void Transaction::ReleaseAndReset() {
   for (Ref& ref : refs_) {
     if (ref.locked) {
       UnlockRef(ref);
-      ref.locked = false;
     }
-    ref.leased = false;
-  }
-}
-
-void Transaction::ResetRefsForRetry() {
-  for (Ref& ref : refs_) {
     ref.found = false;
     ref.entry_off = ~uint64_t{0};
     ref.locked = false;
@@ -980,14 +1038,13 @@ TxnStatus Transaction::Run(const Body& body) {
     WindowGuard window(cluster_);
     const StartResult sr = StartPhase();
     if (sr == StartResult::kNodeDown) {
-      ReleaseRemoteLocks();
+      ReleaseAndReset();
       ++stats.node_failures;
       stat::Registry::Global().Add(Ids().node_failure);
       return TxnStatus::kNodeFailure;
     }
     if (sr == StartResult::kConflict) {
-      ReleaseRemoteLocks();
-      ResetRefsForRetry();
+      ReleaseAndReset();
       ++stats.start_conflicts;
       stat::Registry::Global().Add(Ids().start_conflict);
       if (++start_conflicts > cfg_.start_retry_limit) {
@@ -1033,54 +1090,25 @@ TxnStatus Transaction::Run(const Body& body) {
     }
 
     if (hstatus == htm::kCommitted) {
-      bool release_clean;
-      {
-        stat::ScopedTimer commit_phase(Ids().commit_ns);
-        if (cfg_.logging) {
-          bool any_remote_effect = false;
-          for (const Ref& ref : refs_) {
-            any_remote_effect |=
-                ref.locked || (ref.chain_locked && ref.dirty && !ref.local);
-          }
-          if (any_remote_effect) {
-            // Externalization barrier: the WAL staged inside the HTM
-            // region must be sealed (recovery-visible) before the first
-            // remote write-back, or a crash mid-write-back could not be
-            // redone. Local-only commits skip this — their effects live
-            // in whole-system-persistent memory and need no redo — so
-            // their epochs keep batching.
-            cluster_.log(worker_->node())->Externalize(worker_->worker_id());
-          }
-        }
-        release_clean = WriteBackAndUnlock();
-        if (replay::Armed()) {
-          bool any_locked = false;
-          for (const Ref& ref : refs_) {
-            any_locked |= ref.locked;
-          }
-          if (any_locked) {
-            replay::Recorder::Global().RecordLockRelease(txn_id_,
-                                                         !release_clean);
-          }
-        }
-        if (release_clean && cfg_.logging) {
-          AppendComplete();
-          cluster_.log(worker_->node())
-              ->NoteCommit(worker_->worker_id(), txn_id_);
-        }
+      stat::ScopedTimer commit_phase(Ids().commit_ns);
+      const bool held_locks = HoldsLocks();
+      if (cfg_.logging &&
+          (held_locks ||
+           std::any_of(refs_.begin(), refs_.end(), [](const Ref& ref) {
+             return ref.chain_locked && ref.dirty && !ref.local;
+           }))) {
+        // Externalization barrier: the WAL staged inside the HTM region
+        // must be sealed (recovery-visible) before the first remote
+        // write-back, or a crash mid-write-back could not be redone.
+        // Local-only commits skip this — their effects live in
+        // whole-system-persistent memory and need no redo — so their
+        // epochs keep batching.
+        cluster_.log(worker_->node())->Externalize(worker_->worker_id());
       }
-      if (release_clean) {
-        // A chaos-abandoned release simulates the machine dying
-        // mid-commit; a dead machine reports nothing.
-        NotifyCommittedWrites();
-      }
-      ++stats.committed;
-      stat::Registry::Global().Add(Ids().commit);
-      return TxnStatus::kCommitted;
+      return FinishCommit(held_locks, WriteBackAndUnlock());
     }
 
-    ReleaseRemoteLocks();
-    ResetRefsForRetry();
+    ReleaseAndReset();
     if (user_abort_) {
       CloseLockAhead();
       ++stats.user_aborts;
@@ -1666,7 +1694,7 @@ TxnStatus Transaction::RunFallback(const Body& body) {
       // waiting out holders; this order is what makes the waiting
       // deadlock-free.
       stat::Registry::Global().Add(Ids().fallback_fallthrough);
-      ReleaseRemoteLocks();
+      ReleaseAndReset();
       fail = StartResult::kOk;
       for (Ref& ref : refs_) {
         if (!ResolveRef(ref)) {
@@ -1699,8 +1727,7 @@ TxnStatus Transaction::RunFallback(const Body& body) {
       fail = StartResult::kConflict;
     }
     if (fail != StartResult::kOk) {
-      ReleaseRemoteLocks();
-      ResetRefsForRetry();
+      ReleaseAndReset();
       if (fail == StartResult::kNodeDown) {
         ++stats.node_failures;
         stat::Registry::Global().Add(Ids().node_failure);
@@ -1715,8 +1742,7 @@ TxnStatus Transaction::RunFallback(const Body& body) {
     dynamic_refs_.clear();
     const bool body_ok = body(*this);
     if (dynamic_conflict_) {
-      ReleaseRemoteLocks();
-      ResetRefsForRetry();
+      ReleaseAndReset();
       worker_->Backoff(attempt);
       continue;
     }
@@ -1724,17 +1750,17 @@ TxnStatus Transaction::RunFallback(const Body& body) {
     // this op, the extra commit is suppressed (see the HTM-path gate).
     if (!body_ok ||
         (replay::Armed() && !replay::Recorder::Global().CommitAllowed())) {
-      ReleaseRemoteLocks();
-      ResetRefsForRetry();
+      ReleaseAndReset();
       ++stats.user_aborts;
       stat::Registry::Global().Add(Ids().user_abort);
       return TxnStatus::kUserAbort;
     }
-    if (!LeasesValid(dynamic_refs_)) {
-      // Dynamic leases join the pre-body confirmation as the
-      // serialization point; all must still be valid before any update.
-      ReleaseRemoteLocks();
-      ResetRefsForRetry();
+    if (!LeasesValid(dynamic_refs_) ||
+        (!dynamic_refs_.empty() && !LeasesValid(refs_))) {
+      // Dynamic leases move the serialization point past the body: every
+      // lease, static and dynamic, must still be valid before any
+      // update, or the reads need not form one snapshot.
+      ReleaseAndReset();
       worker_->Backoff(attempt);
       continue;
     }
@@ -1754,8 +1780,7 @@ TxnStatus Transaction::RunFallback(const Body& body) {
         // Log full even after reclaiming (or the append faulted): nothing
         // has been applied yet, so release the locks and retry the attempt
         // instead of committing writes that recovery could not redo.
-        ReleaseRemoteLocks();
-        ResetRefsForRetry();
+        ReleaseAndReset();
         worker_->Backoff(attempt);
         continue;
       }
@@ -1765,42 +1790,20 @@ TxnStatus Transaction::RunFallback(const Body& body) {
       log->Externalize(worker_->worker_id());
     }
 
-    // Apply: hash-record write-backs (strong writes abort conflicting HTM
-    // readers; the state word is locked so local transactions stay away),
-    // then the buffered local structural operations, then unlock.
+    // Commit: local effects first — dirty local records (strong writes
+    // abort conflicting HTM readers; the state word stays locked so
+    // local transactions stay away), then the buffered local structural
+    // operations. They must land before the first unlock: recovery
+    // never redoes a crashed node's own records.
     stat::ScopedTimer commit_phase(Ids().commit_ns);
-    const uint64_t locked_val =
-        MakeWriteLocked(static_cast<uint8_t>(worker_->node()));
-    for (Ref& ref : refs_) {
-      // Chain-locked dirty refs are applied too (their blob's state-word
-      // field re-writes the chain's own lock word, a no-op); the release
-      // loop below still skips them — the chain unlocks after its last
-      // piece.
-      if (!ref.locked && !(ref.chain_locked && ref.dirty)) {
-        continue;
-      }
-      if (ref.dirty) {
-        std::vector<uint8_t> blob(12 + ref.value_size);
-        const uint32_t new_version = ref.version + 1;
-        std::memcpy(blob.data(), &new_version, 4);
-        std::memcpy(blob.data() + 4, &locked_val, 8);
-        std::memcpy(blob.data() + 12, ref.buf.data(), ref.value_size);
-        if (ref.local) {
-          // drtm-lint: allow(TX03 commit write-back of a locked entry, the lock serializes it like an RDMA WRITE)
-          htm::StrongWrite(cluster_.hash_table(ref.node, ref.table)
-                               ->EntryPtr(ref.entry_off) +
-                               store::kEntryVersionOffset,
-                           blob.data(), blob.size());
-        } else {
-          for (int retries = 0; retries < kWriteBackRetries; ++retries) {
-            if (cluster_.fabric().Write(
-                    ref.node, ref.entry_off + store::kEntryVersionOffset,
-                    blob.data(), blob.size()) == rdma::OpStatus::kOk) {
-              break;
-            }
-            SleepUs(1000);
-          }
-        }
+    for (const Ref& ref : refs_) {
+      if (ref.local && ref.dirty) {
+        const std::vector<uint8_t> blob = WriteBackBlob(ref);
+        // drtm-lint: allow(TX03 commit write-back of a locked entry, the lock serializes it like an RDMA WRITE)
+        htm::StrongWrite(cluster_.hash_table(ref.node, ref.table)
+                                 ->EntryPtr(ref.entry_off) +
+                             store::kEntryVersionOffset,
+                         blob.data(), blob.size());
       }
     }
     for (const PendingOp& op : pending_local_ops_) {
@@ -1842,225 +1845,13 @@ TxnStatus Transaction::RunFallback(const Body& body) {
       // fallback commit against concurrent HTM publishes on its lines.
       ReplayRecordFallbackCommit();
     }
-    // Chaos crash point in the release loop: a machine dying here leaves
-    // the remaining locks held and never writes the Complete record —
-    // recovery must release them from the lock-ahead/WAL logs.
-    static const uint32_t kFallbackUnlockPoint =
-        chaos::Injector::Global().Point("txn.fallback.unlock");
-    bool release_abandoned = false;
-    for (Ref& ref : refs_) {
-      if (ref.locked) {
-        if (!release_abandoned &&
-            chaos::Check(kFallbackUnlockPoint, ref.node).kind ==
-                chaos::Decision::Kind::kAbandon) {
-          release_abandoned = true;
-        }
-        if (release_abandoned) {
-          continue;  // simulated death mid-release: lock stays held
-        }
-        if (ref.local &&
-            cluster_.fabric().atomic_level() == rdma::AtomicLevel::kGlob) {
-          uint64_t* addr = cluster_.hash_table(ref.node, ref.table)
-                               ->StatePtr(ref.entry_off);
-          // drtm-lint: allow(TX03 lock release on a state word we own, stands in for an RDMA WRITE)
-          htm::StrongStore(addr, kStateInit);
-        } else {
-          UnlockRef(ref);
-        }
-        ref.locked = false;
-      }
-    }
-    if (replay::Armed()) {
-      replay::Recorder::Global().RecordLockRelease(txn_id_,
-                                                   release_abandoned);
-    }
-    if (cfg_.logging && !release_abandoned) {
-      AppendComplete();
-      cluster_.log(worker_->node())->NoteCommit(worker_->worker_id(), txn_id_);
-    }
-    if (!release_abandoned) {
-      NotifyCommittedWrites();
-    }
-    ++stats.committed;
-    stat::Registry::Global().Add(Ids().commit);
-    return TxnStatus::kCommitted;
+    // Then the same tail as the HTM path: remote write-backs and every
+    // unlock in one scatter round.
+    const bool held_locks = HoldsLocks();
+    return FinishCommit(held_locks, WriteBackAndUnlock());
   }
   stat::Registry::Global().Add(Ids().exhausted);
   return TxnStatus::kAborted;
-}
-
-// --- chain locks (chopped transactions, section 4.6) -------------------------
-
-namespace {
-
-// Resolves a chain lock's owner node and entry offset. Returns false on a
-// dead node; *found is false when the key is absent.
-bool ResolveChainLock(Worker* worker, ChainLock* lock, bool* found) {
-  Cluster& cluster = worker->cluster();
-  lock->node = cluster.PartitionOf(lock->table, lock->key);
-  store::ClusterHashTable* host = cluster.hash_table(lock->node, lock->table);
-  if (lock->node == worker->node()) {
-    lock->entry_off = host->FindEntry(lock->key);
-    *found = lock->entry_off != store::kInvalidOffset;
-    return true;
-  }
-  store::RemoteKv client(&cluster.fabric(), lock->node, host->geometry(),
-                         cluster.cache(worker->node(), lock->node));
-  const store::RemoteEntryRef ref = client.Lookup(lock->key);
-  if (!cluster.fabric().IsAlive(lock->node)) {
-    return false;
-  }
-  *found = ref.found;
-  lock->entry_off = ref.entry_off;
-  return true;
-}
-
-}  // namespace
-
-TxnStatus AcquireChainLocks(Worker* worker, uint64_t chain_id,
-                            std::vector<ChainLock>* locks) {
-  Cluster& cluster = worker->cluster();
-  const ClusterConfig& cfg = cluster.config();
-  // Global <table, key> order, like the 2PL fallback: waiting while
-  // holding earlier chain locks is deadlock-free.
-  std::sort(locks->begin(), locks->end(),
-            [](const ChainLock& a, const ChainLock& b) {
-              return a.table != b.table ? a.table < b.table : a.key < b.key;
-            });
-  for (ChainLock& lock : *locks) {
-    bool found = false;
-    if (!ResolveChainLock(worker, &lock, &found)) {
-      return TxnStatus::kNodeFailure;
-    }
-    if (!found) {
-      return TxnStatus::kAborted;
-    }
-  }
-  if (cfg.logging) {
-    // One lock-ahead record for the whole chain, under the chain id: if
-    // this machine dies mid-chain, recovery releases the chain locks it
-    // still owns (the resumed chain re-acquires them).
-    std::vector<LogLock> entries;
-    entries.reserve(locks->size());
-    for (const ChainLock& lock : *locks) {
-      entries.push_back(LogLock{lock.node, lock.table, lock.key,
-                                lock.entry_off + store::kEntryStateOffset});
-    }
-    const std::vector<uint8_t> payload = NvramLog::EncodeLocks(entries);
-    NvramLog* log = cluster.log(worker->node());
-    if (log->AppendOutsideHtm(worker->worker_id(), LogType::kLockAhead,
-                              chain_id, payload.data(),
-                              payload.size()) != AppendStatus::kOk) {
-      // Without a durable lock-ahead record a crash mid-chain would strand
-      // the chain locks; abort before acquiring any.
-      return TxnStatus::kAborted;
-    }
-    // Seal so the lock-ahead is recoverable before the first CAS makes the
-    // chain's locks visible to other nodes.
-    log->Externalize(worker->worker_id());
-  }
-  const uint64_t locked_val =
-      MakeWriteLocked(static_cast<uint8_t>(worker->node()));
-  for (ChainLock& lock : *locks) {
-    if (!GateAllows(cluster, lock.table, lock.key)) {
-      AbortChain(worker, chain_id, locks);
-      return TxnStatus::kAborted;
-    }
-    uint64_t expected = kStateInit;
-    int tries = 0;
-    while (!lock.locked) {
-      uint64_t observed = 0;
-      rdma::OpStatus cas_status;
-      if (lock.node == worker->node() &&
-          cluster.fabric().atomic_level() == rdma::AtomicLevel::kGlob) {
-        SpinFor(cfg.latency.LocalCasNs());
-        uint64_t* addr = cluster.hash_table(lock.node, lock.table)
-                             ->StatePtr(lock.entry_off);
-        // drtm-lint: allow(TX03 local stand-in for an RDMA CAS verb on GLOB-coherent NICs)
-        observed = htm::StrongCas64(addr, expected, locked_val);
-        cas_status = rdma::OpStatus::kOk;
-      } else {
-        cas_status = cluster.fabric().Cas(
-            lock.node, lock.entry_off + store::kEntryStateOffset, expected,
-            locked_val, &observed);
-      }
-      if (cas_status != rdma::OpStatus::kOk) {
-        ReleaseChainLocks(worker, locks);
-        return TxnStatus::kNodeFailure;
-      }
-      if (observed == expected) {
-        lock.locked = true;
-        break;
-      }
-      if (IsWriteLocked(observed)) {
-        if (++tries > kWaitTriesLimit) {
-          AbortChain(worker, chain_id, locks);
-          return TxnStatus::kAborted;
-        }
-        SleepUs(10 + worker->backoff_rng().NextBounded(50));
-        expected = kStateInit;
-        continue;
-      }
-      // A read lease: writers wait for expiry, then CAS it away (Fig. 5).
-      const uint64_t end = LeaseEnd(observed);
-      while (true) {
-        const uint64_t now = cluster.synctime().ReadStrong(worker->node());
-        if (LeaseExpired(end, now, cfg.delta_us)) {
-          break;
-        }
-        if (++tries > kWaitTriesLimit) {
-          AbortChain(worker, chain_id, locks);
-          return TxnStatus::kAborted;
-        }
-        SleepUs(20);
-      }
-      expected = observed;
-    }
-  }
-  return TxnStatus::kCommitted;
-}
-
-void ReleaseChainLocks(Worker* worker, std::vector<ChainLock>* locks) {
-  Cluster& cluster = worker->cluster();
-  const uint64_t init = kStateInit;
-  for (ChainLock& lock : *locks) {
-    if (!lock.locked) {
-      continue;
-    }
-    if (lock.node == worker->node() &&
-        cluster.fabric().atomic_level() == rdma::AtomicLevel::kGlob) {
-      uint64_t* addr =
-          cluster.hash_table(lock.node, lock.table)->StatePtr(lock.entry_off);
-      // drtm-lint: allow(TX03 chain-lock release on a state word we own, stands in for an RDMA WRITE)
-      htm::StrongStore(addr, init);
-    } else {
-      for (int attempt = 0; attempt < kWriteBackRetries; ++attempt) {
-        if (cluster.fabric().Write(lock.node,
-                                   lock.entry_off + store::kEntryStateOffset,
-                                   &init, sizeof(init)) ==
-            rdma::OpStatus::kOk) {
-          break;
-        }
-        SleepUs(1000);
-      }
-    }
-    lock.locked = false;
-  }
-}
-
-void AbortChain(Worker* worker, uint64_t chain_id,
-                std::vector<ChainLock>* locks) {
-  ReleaseChainLocks(worker, locks);
-  Cluster& cluster = worker->cluster();
-  if (cluster.config().logging) {
-    // Nothing of the chain stays pending, so its lock-ahead and resume
-    // markers are closed: recovery then leaves the chain alone, and
-    // ReclaimSpace can drop their epochs. A final failure is ignored,
-    // as for a transaction's Complete record.
-    cluster.log(worker->node())
-        ->AppendOutsideHtm(worker->worker_id(), LogType::kComplete, chain_id,
-                           nullptr, 0);
-  }
 }
 
 // --- read-only transactions ----------------------------------------------------
@@ -2102,10 +1893,10 @@ Transaction::StartResult Transaction::LeaseAllForReadOnly() {
   // (sections 4.5 and 6.3), seeded by its probe. The first CAS of every
   // record that needs one rides a single overlapped scatter; only CAS
   // failures drop to the scalar share/renew loop.
-  const uint64_t desired = MakeLease(lease_end_);
   const bool glob =
       cluster_.fabric().atomic_level() == rdma::AtomicLevel::kGlob;
   std::vector<uint64_t> expected(refs_.size(), kStateInit);
+  std::vector<uint64_t> desired(refs_.size(), MakeLease(lease_end_));
   std::vector<uint64_t> observed(refs_.size(), 0);
   std::vector<bool> need_cas(refs_.size(), false);
   StartResult result = StartResult::kOk;
@@ -2125,7 +1916,12 @@ Transaction::StartResult Transaction::LeaseAllForReadOnly() {
           ref.lease_end = LeaseEnd(probes[i]);
           continue;
         }
-        expected[i] = probes[i];  // expired or short: steal/renew
+        desired[i] = LeaseReplacement(probes[i], lease_end_, now);
+        if (desired[i] == kStateInit) {
+          result = StartResult::kConflict;  // renewed once: wait it out
+          break;
+        }
+        expected[i] = probes[i];
       } else if (IsWriteLocked(probes[i])) {
         result = StartResult::kConflict;
         break;
@@ -2139,12 +1935,12 @@ Transaction::StartResult Transaction::LeaseAllForReadOnly() {
       }
       need_cas[i] = true;
       if (ref.local && glob) {
-        StateCas(ref, expected[i], desired, &observed[i]);
+        StateCas(ref, expected[i], desired[i], &observed[i]);
       } else {
         owners.Add(ref.node,
                    scatter.To(ref.node).PostCas(
                        ref.entry_off + store::kEntryStateOffset, expected[i],
-                       desired),
+                       desired[i]),
                    i);
       }
     }
@@ -2209,7 +2005,7 @@ TxnStatus ReadOnlyTransaction::Execute() {
       stat::Registry::Global().Add(Ids().ro_commit);
       return TxnStatus::kCommitted;
     }
-    txn_.ResetRefsForRetry();
+    txn_.ReleaseAndReset();
     ++stats.read_only_retries;
     stat::Registry::Global().Add(Ids().ro_retry);
     txn_.worker_->Backoff(attempt);

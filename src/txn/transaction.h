@@ -150,48 +150,21 @@ class Worker {
   AbortMixWindow abort_mix_;
 };
 
-// A record whose exclusive lock spans a whole chopped-transaction chain
-// (paper §4.6): acquired before the first piece runs, held across every
-// piece, released only after the last piece committed. Pieces mark the
-// matching declared refs chain-locked so their own acquire/release
-// machinery skips them and tolerates observing the (held-by-us) lock.
-struct ChainLock {
-  int table = 0;
-  uint64_t key = 0;
-  int node = -1;
-  uint64_t entry_off = ~uint64_t{0};
-  bool locked = false;
-};
-
-// Acquires every chain lock (resolving owner + entry offset) in global
-// <table, key> order, waiting out holders and lease expiry like the 2PL
-// fallback. When logging is on, a lock-ahead record is appended under
-// chain_id first, so recovery can release the chain locks of a crashed
-// node (§4.6). On any failure everything acquired is released. Returns
-// kCommitted on success, kAborted on conflict/missing-record exhaustion,
-// kNodeFailure when an owner node is down.
-TxnStatus AcquireChainLocks(Worker* worker, uint64_t chain_id,
-                            std::vector<ChainLock>* locks);
-void ReleaseChainLocks(Worker* worker, std::vector<ChainLock>* locks);
-// Ends a chain that will not finish: releases its locks and, when
-// logging is on, appends a Complete record under chain_id, so that its
-// lock-ahead and resume markers no longer pin the log ring.
-void AbortChain(Worker* worker, uint64_t chain_id,
-                std::vector<ChainLock>* locks);
-
 class Transaction {
  public:
   using Body = std::function<bool(Transaction&)>;
   // Read-only transactions reuse the refs and the resolve, lease and
-  // prefetch phases of this class.
+  // prefetch phases of this class; chopped transactions hold their chain
+  // locks as the refs of a never-run instance.
   friend class ReadOnlyTransaction;
+  friend class ChoppedTransaction;
 
   explicit Transaction(Worker* worker);
 
   // --- declaration (before Run) --------------------------------------------
   void AddRead(int table, uint64_t key);
   void AddWrite(int table, uint64_t key);
-  // Marks a declared record as covered by a ChainLock held by the
+  // Marks a declared record as covered by a chain lock held by the
   // enclosing chopped transaction: this piece neither acquires nor
   // releases it, and a write lock observed on it is (necessarily) our
   // own chain lock, not a conflict.
@@ -309,14 +282,26 @@ class Transaction {
   // True if a lease ending at `end` leaves a sharer with a lease of
   // length lease_us enough time to confirm it at commit.
   bool LeaseShareable(uint64_t end, uint64_t now, uint64_t lease_us) const;
+  // The word that replaces a lease too short to share with a lease of
+  // ours ending at `end`: a fresh lease once it expired, a renewed one
+  // while it is valid, or kStateInit when it was renewed once already
+  // and must be waited out.
+  uint64_t LeaseReplacement(uint64_t observed, uint64_t end,
+                            uint64_t now) const;
   // Drives a state word last seen as `observed` to a lease we hold:
-  // shares a healthy lease, renews a short one, steals an expired one,
-  // and (with `wait`) waits out a write lock; a lease we install ends at
-  // `end`. kConflict on a write lock without `wait`.
+  // shares a healthy lease, renews a short one once, steals an expired
+  // one, and (with `wait`) waits out a write lock or a renewed lease; a
+  // lease we install ends at `end`. kConflict on a write lock or a
+  // renewed short lease without `wait`.
   StartResult LeaseCasLoop(Ref& ref, bool wait, uint64_t observed,
                            uint64_t end, uint64_t lease_us);
   // True if every leased ref's lease is still valid now.
   bool LeasesValid(const std::vector<Ref>& refs) const;
+  // Logs which of `refs` this transaction is about to write-lock
+  // (logging on), so recovery can release them after a crash (§4.6),
+  // and seals the record before any lock is taken. False if the record
+  // could not be logged: then no lock may be taken.
+  bool AppendLockAhead(const std::vector<Ref*>& refs);
   // Appends this transaction's Complete record (logging on).
   void AppendComplete();
   // Closes this transaction's lock-ahead records, if any were logged,
@@ -334,12 +319,23 @@ class Transaction {
   StartResult BatchedStartRemote(const std::vector<Ref*>& remote);
   void ConfirmLeasesInHtm();
   void WriteWalInHtm();
-  // Returns false when a chaos crash point abandoned the release
-  // (simulated death mid-commit): remaining locks stay held and the
-  // caller must not write the Complete record.
+
+  // --- the commit tail shared by the HTM path and the fallback ---------------
+  // The version + locked state + value image a commit writes back.
+  std::vector<uint8_t> WriteBackBlob(const Ref& ref) const;
+  // Writes back every dirty remote record and releases every lock we
+  // hold in one scatter round (REMOTE_WRITE_BACK, Fig. 5). Returns false
+  // when a chaos crash point abandoned the release (simulated death
+  // mid-commit): remaining locks stay held and no Complete is written.
   bool WriteBackAndUnlock();
-  void ReleaseRemoteLocks();
-  void ResetRefsForRetry();
+  // The commit epilogue: the replay release event (when locks were
+  // held), the Complete record and durability ack, the elastic
+  // notification (both only after a clean release), and the stats.
+  TxnStatus FinishCommit(bool held_locks, bool release_clean);
+  bool HoldsLocks() const;
+  // Releases every lock we hold, drops our leases and clears the refs
+  // per-attempt state for a retry.
+  void ReleaseAndReset();
   TxnStatus RunHtmPath(const Body& body, bool* out_committed);
 
   // Shared lock helpers (both paths).
@@ -354,6 +350,9 @@ class Transaction {
   StartResult PrefetchFromRaw(Ref& ref, const uint8_t* raw);
   rdma::OpStatus StateCas(const Ref& ref, uint64_t expected, uint64_t desired,
                           uint64_t* observed);
+  // The one unlock: a processor store for a local record on a
+  // GLOB-coherent NIC (as in StateCas), otherwise a WRITE, retried while
+  // the owner is down.
   void UnlockRef(const Ref& ref);
 
   // Fallback path (section 6.2).

@@ -4,6 +4,8 @@
 // with direct inspection of the state word.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "src/common/clock.h"
@@ -100,6 +102,53 @@ TEST_F(LeaseProtocolTest, NearlyExpiredLeaseIsRenewed) {
   uint64_t end2 = 0;
   ASSERT_EQ(RemoteRead(&reader, &end2), TxnStatus::kCommitted);
   EXPECT_GT(end2, end1) << "a nearly-expired lease must be renewed";
+}
+
+TEST_F(LeaseProtocolTest, RereadLeaseDoesNotStarveWaitingWriter) {
+  // A reader re-reading a leased record in a tight loop renews its lease
+  // at most once, so a writer waiting the lease out gets in within a few
+  // lease lengths rather than whenever the reader is descheduled.
+  ClusterConfig config;
+  config.lease_ro_us = 2000;
+  config.delta_us = 300;
+  SetUpCluster(config);
+  using Clock = std::chrono::steady_clock;
+  const auto lease = std::chrono::microseconds(config.lease_ro_us);
+  std::atomic<bool> stop{false};
+  std::thread observer([&] {
+    Worker reader(cluster_.get(), 1, 0);
+    // Bounded, so that a starved writer still finishes and the elapsed
+    // time below reports the starvation.
+    const auto give_up = Clock::now() + 400 * lease;
+    while (!stop.load(std::memory_order_acquire) && Clock::now() < give_up) {
+      ReadOnlyTransaction ro(&reader);
+      ro.AddRead(table_, 0);
+      ro.Execute();
+    }
+  });
+  while (!HasLease(State())) {
+    std::this_thread::yield();
+  }
+  Worker writer(cluster_.get(), 0, 0);
+  const auto start = Clock::now();
+  Transaction txn(&writer);
+  txn.AddWrite(table_, 0);
+  const TxnStatus status = txn.Run([&](Transaction& t) {
+    uint64_t v;
+    if (!t.Read(table_, 0, &v)) {
+      return false;
+    }
+    ++v;
+    return t.Write(table_, 0, &v);
+  });
+  const auto elapsed = Clock::now() - start;
+  stop.store(true, std::memory_order_release);
+  observer.join();
+  ASSERT_EQ(status, TxnStatus::kCommitted);
+  EXPECT_LT(elapsed, 100 * lease)
+      << "writer waited "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count()
+      << " ms behind a re-read lease";
 }
 
 TEST_F(LeaseProtocolTest, ExpiredLeaseIsStolenByWriter) {

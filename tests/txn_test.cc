@@ -10,10 +10,12 @@
 #include "src/common/clock.h"
 #include "src/common/rand.h"
 #include "src/htm/htm.h"
+#include "src/stat/metrics.h"
 #include "src/txn/cluster.h"
 #include "src/txn/lock_state.h"
 #include "src/txn/nvram_log.h"
 #include "src/txn/sync_time.h"
+#include "src/txn/transaction.h"
 
 namespace drtm {
 namespace txn {
@@ -558,6 +560,52 @@ TEST_F(ClusterTest, RemoteOrderedScanIsConsistentUnderWriters) {
   writer.join();
   EXPECT_FALSE(torn.load());
 }
+TEST(FallbackCommit, RemoteWriteBacksAndUnlocksRideOneScatterRound) {
+  ClusterConfig config;
+  config.num_nodes = 3;
+  config.workers_per_node = 1;
+  config.region_bytes = 16 << 20;
+  config.htm_retry_limit = 0;  // every transaction commits in the fallback
+  Cluster cluster(config);
+  TableSpec spec;
+  spec.value_size = 8;
+  spec.partition = [](uint64_t key) { return static_cast<int>(key % 3); };
+  const int table = cluster.AddTable(spec);
+  cluster.Start();
+  const uint64_t zero = 0;
+  cluster.hash_table(1, table)->Insert(1, &zero);
+  cluster.hash_table(2, table)->Insert(2, &zero);
+
+  Worker worker(&cluster, 0, 0);
+  Transaction txn(&worker);
+  txn.AddWrite(table, 1);
+  txn.AddWrite(table, 2);
+  const stat::Snapshot before = stat::Registry::Global().TakeSnapshot();
+  const uint64_t seven = 7;
+  ASSERT_EQ(txn.Run([&](Transaction& t) {
+    return t.Write(table, 1, &seven) && t.Write(table, 2, &seven);
+  }),
+            TxnStatus::kCommitted);
+  const stat::Snapshot delta =
+      stat::Registry::Global().TakeSnapshot().DeltaSince(before);
+  EXPECT_EQ(worker.stats().fallbacks, 1u);
+  // Both remote targets' write-back and unlock WRITEs share one round:
+  // one doorbell per target, two WQEs each.
+  EXPECT_EQ(delta.Counter("rdma.scatter.writeback.rounds"), 1u);
+  EXPECT_EQ(delta.Counter("rdma.scatter.writeback.doorbells"), 2u);
+  EXPECT_EQ(delta.Counter("rdma.scatter.writeback.wqes"), 4u);
+  for (uint64_t key = 1; key <= 2; ++key) {
+    store::ClusterHashTable* host = cluster.hash_table(static_cast<int>(key),
+                                                       table);
+    uint64_t value = 0;
+    ASSERT_TRUE(host->Get(key, &value));
+    EXPECT_EQ(value, 7u);
+    EXPECT_EQ(htm::StrongLoad(host->StatePtr(host->FindEntry(key))),
+              kStateInit);
+  }
+  cluster.Stop();
+}
+
 }  // namespace
 }  // namespace txn
 }  // namespace drtm

@@ -514,6 +514,28 @@ uint64_t Fnv1a64(const std::string& s) {
   return h;
 }
 
+// A message may cite another line ("... at line 42"). The fingerprint
+// key drops those numbers, or line churn above the cited line would
+// re-key the finding and stale its baseline entry.
+std::string WithoutLineNumbers(const std::string& message) {
+  static constexpr std::string_view kLine = "line ";
+  std::string out;
+  size_t pos = 0;
+  while (true) {
+    const size_t at = message.find(kLine, pos);
+    if (at == std::string::npos) {
+      return out + message.substr(pos);
+    }
+    size_t end = at + kLine.size();
+    while (end < message.size() &&
+           std::isdigit(static_cast<unsigned char>(message[end])) != 0) {
+      ++end;
+    }
+    out += message.substr(pos, at + kLine.size() - pos);
+    pos = end;
+  }
+}
+
 std::string HexFingerprint(uint64_t h) {
   static const char* kHex = "0123456789abcdef";
   std::string out(16, '0');
@@ -1113,9 +1135,9 @@ void Analyzer::Run() {
 
   // --- Fingerprints ----------------------------------------------------------
   // Ordinal = position among findings with the same (rule, file,
-  // function, message), in token order, so two identical violations in
-  // one function keep distinct identities while line churn above them
-  // changes nothing.
+  // function, message without line numbers), in token order, so two
+  // identical violations in one function keep distinct identities while
+  // line churn above them changes nothing.
   std::stable_sort(raw.begin(), raw.end(),
                    [](const RawFinding& a, const RawFinding& b) {
                      if (a.file != b.file) return a.file < b.file;
@@ -1125,7 +1147,8 @@ void Analyzer::Run() {
   for (RawFinding& rf : raw) {
     Finding& f = rf.finding;
     const std::string key =
-        f.rule + "|" + f.file + "|" + f.function + "|" + f.message;
+        f.rule + "|" + f.file + "|" + f.function + "|" +
+        WithoutLineNumbers(f.message);
     const size_t ordinal = ordinals[key]++;
     f.fingerprint =
         HexFingerprint(Fnv1a64(key + "|" + std::to_string(ordinal)));

@@ -318,6 +318,33 @@ TEST(DrtmLint, FingerprintsAreStableAcrossLineChurn) {
   ASSERT_EQ(a2.findings().size(), 1u);
   EXPECT_NE(a1.findings()[0].line, a2.findings()[0].line);
   EXPECT_EQ(a1.findings()[0].fingerprint, a2.findings()[0].fingerprint);
+
+  // An LS01 message cites the line of the later data access. Lines
+  // added above the finding and between it and the cited access change
+  // both lines and the message, but not the fingerprint.
+  auto ls01_body = [](const std::string& between) {
+    return "void Probe(drtm::htm::HtmThread& htm, unsigned long* lock_word,\n"
+           "           unsigned char* value, void* out) {\n"
+           "  const unsigned long state = htm.Load(lock_word);\n" +
+           between +
+           "  htm.Read(out, value, 8);\n"
+           "  (void)state;\n"
+           "}\n";
+  };
+  Analyzer l1;
+  ASSERT_TRUE(l1.AddFile("scratch/b.cc", ls01_body("")));
+  l1.Run();
+  Analyzer l2;
+  ASSERT_TRUE(l2.AddFile("scratch/b.cc", "static int pad = 0;\n\n" +
+                                             ls01_body("  // moved\n\n")));
+  l2.Run();
+  ASSERT_EQ(CountRule(l1, "LS01", /*suppressed=*/false), 1u);
+  ASSERT_EQ(CountRule(l2, "LS01", /*suppressed=*/false), 1u);
+  const Finding& f1 = l1.findings()[0];
+  const Finding& f2 = l2.findings()[0];
+  EXPECT_NE(f1.line, f2.line);
+  EXPECT_NE(f1.message, f2.message) << "the cited line must have moved";
+  EXPECT_EQ(f1.fingerprint, f2.fingerprint);
 }
 
 TEST(DrtmLint, BaselineRoundTripSuppressesAndReportsStale) {
