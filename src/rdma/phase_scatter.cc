@@ -58,22 +58,23 @@ size_t PhaseScatter::Gather(std::vector<ScatterCompletion>* out) {
     sum_batch_ns += sub.batch_ns;
     max_batch_ns = std::max(max_batch_ns, sub.batch_ns);
   }
-  if (wqes == 0) {
-    return 0;
-  }
   // Gather: complete each batch (waiting only for its own remaining
   // deadline — everything after the longest one is already past) and
-  // drain its completions tagged with the target.
+  // drain its completions tagged with the target. A batch that filled
+  // the window was rung at post time and holds completions even when
+  // nothing was left to submit here.
+  size_t gathered = 0;
   for (auto& [node, queue] : queues_) {
     queue->CompleteSubmission();
     Completion comp;
     while (queue->PollCompletions(&comp, 1) == 1) {
+      ++gathered;
       if (out != nullptr) {
         out->push_back(ScatterCompletion{node, comp});
       }
     }
   }
-  if (ids_ != nullptr) {
+  if (ids_ != nullptr && wqes > 0) {
     stat::Registry& reg = stat::Registry::Global();
     reg.Add(ids_->rounds);
     reg.Add(ids_->doorbells, doorbells);
@@ -81,7 +82,7 @@ size_t PhaseScatter::Gather(std::vector<ScatterCompletion>* out) {
     reg.Add(ids_->overlap_saved_ns, sum_batch_ns - max_batch_ns);
     reg.Record(ids_->targets, doorbells);
   }
-  return wqes;
+  return gathered;
 }
 
 }  // namespace rdma

@@ -64,7 +64,8 @@ class PhaseScatter {
   // Rings one async doorbell per target that has pending WQEs — all of
   // them before polling anything — then completes every batch and
   // appends each target's completions (FIFO within the target, targets
-  // in first-use order) to *out. Returns the number of WQEs gathered.
+  // in first-use order) to *out, including those of batches the window
+  // already rang at post time. Returns the number of completions.
   size_t Gather(std::vector<ScatterCompletion>* out);
 
  private:

@@ -1,5 +1,6 @@
 #include "src/store/remote_kv.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/rdma/verbs_batch.h"
@@ -21,9 +22,8 @@ RemoteKv::RemoteKv(rdma::Fabric* fabric, int target_node,
                    const Geometry& geometry, LocationCache* cache)
     : fabric_(fabric), target_(target_node), geo_(geometry), cache_(cache) {}
 
-// Resumable chain-walk state: the serial Lookup and the multi-target
-// ScatterLookup run the same walk steps, differing only in who rings the
-// doorbell between WalkPostRun and WalkConsumeRun.
+// Resumable chain-walk state, driven by ScatterLookup (a single Lookup
+// is a one-task scatter).
 struct RemoteKv::Walk {
   uint64_t key = 0;
   bool bypass_cache = false;
@@ -172,38 +172,6 @@ bool RemoteKv::WalkConsumeRun(Walk& w, bool fetch_failed) {
   return true;
 }
 
-RemoteEntryRef RemoteKv::LookupInternal(uint64_t key, bool bypass_cache) {
-  Walk w;
-  w.key = key;
-  w.bypass_cache = bypass_cache;
-  w.bucket_off = geo_.MainBucketOffset(key);
-  // A chain longer than the indirect pool means corruption; bound the walk.
-  w.max_hops = geo_.indirect_buckets + 1;
-  rdma::SendQueue sq(*fabric_, target_,
-                     rdma::SendQueue::Config{kSpeculationWindow});
-  while (!w.done) {
-    if (WalkServeFromCache(w)) {
-      break;
-    }
-    WalkPredictRun(w);
-    const size_t posted = WalkPostRun(w, sq, nullptr);
-    bool failed = false;
-    if (posted > 0) {
-      ++w.ref.rdma_doorbells;
-      w.ref.rdma_reads += static_cast<int>(posted);
-      for (const rdma::Completion& comp : sq.Flush()) {
-        if (comp.status != rdma::OpStatus::kOk) {
-          failed = true;
-        }
-      }
-    }
-    if (WalkConsumeRun(w, failed)) {
-      break;
-    }
-  }
-  return w.ref;
-}
-
 void RemoteKv::ScatterLookup(rdma::PhaseScatter& scatter,
                              std::vector<LookupTask>* tasks) {
   const size_t n = tasks->size();
@@ -212,8 +180,10 @@ void RemoteKv::ScatterLookup(rdma::PhaseScatter& scatter,
     Walk& w = walks[i];
     LookupTask& task = (*tasks)[i];
     w.key = task.key;
-    w.bypass_cache = false;
+    w.bypass_cache = task.bypass_cache;
     w.bucket_off = task.client->geo_.MainBucketOffset(task.key);
+    // A chain longer than the indirect pool means corruption; bound the
+    // walk.
     w.max_hops = task.client->geo_.indirect_buckets + 1;
   }
   // Round-distinguishing wr_id ownership: (target, wr_id) -> task index,
@@ -224,7 +194,11 @@ void RemoteKv::ScatterLookup(rdma::PhaseScatter& scatter,
   std::vector<bool> posted_this_round(n, false);
   std::vector<bool> failed(n, false);
   std::vector<rdma::ScatterCompletion> comps;
-  while (true) {
+  auto unfinished = [&] {
+    return std::any_of(walks.begin(), walks.end(),
+                       [](const Walk& w) { return !w.done; });
+  };
+  while (unfinished()) {
     // Scatter: each unfinished walk serves what it can from its cache,
     // predicts its next run, and posts the run's READs on its host
     // node's queue. Nothing is polled yet.
@@ -244,18 +218,22 @@ void RemoteKv::ScatterLookup(rdma::PhaseScatter& scatter,
       round_ids.clear();
       const size_t posted =
           kv->WalkPostRun(w, scatter.To(kv->target_), &round_ids);
-      if (posted > 0) {
-        ++w.ref.rdma_doorbells;
-        w.ref.rdma_reads += static_cast<int>(posted);
-        for (const uint64_t id : round_ids) {
-          owners.emplace_back(std::make_pair(kv->target_, id), i);
-        }
-        posted_this_round[i] = true;
-        any_posted = true;
+      if (posted == 0) {
+        // Another thread sharing the cache installed the whole run since
+        // the serve step missed: consume it now, with no doorbell.
+        kv->WalkConsumeRun(w, /*fetch_failed=*/false);
+        continue;
       }
+      ++w.ref.rdma_doorbells;
+      w.ref.rdma_reads += static_cast<int>(posted);
+      for (const uint64_t id : round_ids) {
+        owners.emplace_back(std::make_pair(kv->target_, id), i);
+      }
+      posted_this_round[i] = true;
+      any_posted = true;
     }
     if (!any_posted) {
-      break;  // every walk finished from cache
+      continue;  // every walk advanced from cache this round
     }
     // Gather: one overlapped doorbell per target, then match each READ's
     // status back to its walk.
@@ -273,10 +251,9 @@ void RemoteKv::ScatterLookup(rdma::PhaseScatter& scatter,
       }
     }
     for (size_t i = 0; i < n; ++i) {
-      if (!posted_this_round[i] || walks[i].done) {
-        continue;
+      if (posted_this_round[i]) {
+        (*tasks)[i].client->WalkConsumeRun(walks[i], failed[i]);
       }
-      (*tasks)[i].client->WalkConsumeRun(walks[i], failed[i]);
     }
   }
   for (size_t i = 0; i < n; ++i) {
@@ -284,8 +261,19 @@ void RemoteKv::ScatterLookup(rdma::PhaseScatter& scatter,
   }
 }
 
+RemoteEntryRef RemoteKv::LookupOne(uint64_t key, bool bypass_cache) {
+  rdma::PhaseScatter scatter(*fabric_,
+                             rdma::SendQueue::Config{kSpeculationWindow});
+  std::vector<LookupTask> tasks(1);
+  tasks[0].client = this;
+  tasks[0].key = key;
+  tasks[0].bypass_cache = bypass_cache;
+  ScatterLookup(scatter, &tasks);
+  return tasks[0].result;
+}
+
 RemoteEntryRef RemoteKv::Lookup(uint64_t key) {
-  return LookupInternal(key, /*bypass_cache=*/false);
+  return LookupOne(key, /*bypass_cache=*/false);
 }
 
 bool RemoteKv::ReadEntry(uint64_t entry_off, RemoteEntrySnapshot* out) {
@@ -309,7 +297,7 @@ bool RemoteKv::ReadValue(uint64_t entry_off, void* out) {
 bool RemoteKv::Get(uint64_t key, void* value_out) {
   for (int attempt = 0; attempt < 2; ++attempt) {
     const bool bypass = (attempt == 1);
-    const RemoteEntryRef ref = LookupInternal(key, bypass);
+    const RemoteEntryRef ref = LookupOne(key, bypass);
     if (!ref.found) {
       if (!bypass && cache_ != nullptr) {
         // The miss may be a stale cached bucket; retry against the host.

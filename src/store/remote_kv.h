@@ -48,8 +48,8 @@ class RemoteKv {
   RemoteKv(rdma::Fabric* fabric, int target_node, const Geometry& geometry,
            LocationCache* cache = nullptr);
 
-  // Locates the entry for key. On a found result, entry_off addresses the
-  // entry in the target node's region.
+  // Locates the entry for key (a one-task ScatterLookup). On a found
+  // result, entry_off addresses the entry in the target node's region.
   RemoteEntryRef Lookup(uint64_t key);
 
   // Reads header + value in one RDMA READ. Returns false if the node is
@@ -71,6 +71,9 @@ class RemoteKv {
   struct LookupTask {
     RemoteKv* client = nullptr;
     uint64_t key = 0;
+    // Fetch every bucket from the host, ignoring cached content (Get's
+    // retry after a possibly stale cached miss).
+    bool bypass_cache = false;
     RemoteEntryRef result;
   };
 
@@ -80,17 +83,19 @@ class RemoteKv {
   // target (overlapped — see rdma::PhaseScatter), then consumes the
   // fetched buckets. A transaction resolving keys on k nodes pays
   // ~max(chain depth) overlapped rounds instead of the sum of every
-  // node's walk. A task against a dead node reports not-found, exactly
-  // like Lookup.
+  // node's walk. A walk whose whole run is served from cache (another
+  // thread installed it after the serve step missed) advances without a
+  // READ; the lookup returns only once every walk has finished. A task
+  // against a dead node reports not-found.
   static void ScatterLookup(rdma::PhaseScatter& scatter,
                             std::vector<LookupTask>* tasks);
 
  private:
   struct Walk;  // resumable chain-walk state (defined in remote_kv.cc)
 
-  RemoteEntryRef LookupInternal(uint64_t key, bool bypass_cache);
+  RemoteEntryRef LookupOne(uint64_t key, bool bypass_cache);
 
-  // Chain-walk steps shared by the serial and scatter lookups. A walk
+  // Chain-walk steps of ScatterLookup. A walk
   // round is: serve from cache (may finish the walk), predict the next
   // speculative run, post the run's uncached READs, then — after the
   // doorbell — consume the fetched buckets (may finish or restart).

@@ -28,8 +28,7 @@ uint32_t MarkerDroppedId() {
 
 TxnStatus ChoppedTransaction::AcquireChainLocks(Transaction& chain) {
   using StartResult = Transaction::StartResult;
-  // Global <table, key> order, like the 2PL fallback: waiting while
-  // holding earlier chain locks is deadlock-free.
+  // AcquireInOrder needs the global <table, key> order.
   chain.SortRefs();
   std::vector<Transaction::Ref*> all;
   for (Transaction::Ref& ref : chain.refs_) {
@@ -49,16 +48,14 @@ TxnStatus ChoppedTransaction::AcquireChainLocks(Transaction& chain) {
   if (!chain.AppendLockAhead(all)) {
     return TxnStatus::kAborted;
   }
-  for (Transaction::Ref* ref : all) {
-    const StartResult result = chain.AcquireExclusive(*ref, /*wait=*/true);
-    if (result == StartResult::kNodeDown) {
-      chain.ReleaseAndReset();
-      return TxnStatus::kNodeFailure;
-    }
-    if (result == StartResult::kConflict) {
-      AbortChain(chain);
-      return TxnStatus::kAborted;
-    }
+  const StartResult result = chain.AcquireInOrder(all);
+  if (result == StartResult::kNodeDown) {
+    chain.ReleaseAndReset();
+    return TxnStatus::kNodeFailure;
+  }
+  if (result == StartResult::kConflict) {
+    AbortChain(chain);
+    return TxnStatus::kAborted;
   }
   return TxnStatus::kCommitted;
 }

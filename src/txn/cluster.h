@@ -41,27 +41,19 @@ struct ClusterConfig {
   uint64_t delta_us = 300;
   uint64_t softtime_interval_us = 200;
 
-  // Contention management: HTM retries before the fallback handler, and
-  // Start-phase (remote lock) retries before counting as an HTM retry.
+  // Contention management: HTM retries before the fallback handler.
   int htm_retry_limit = 8;
-  int start_retry_limit = 64;
-  // Lock-observed XABORTs (the body saw a 2PL write lock) mean the
-  // holder is mid-commit: stretch the retry budget by up to this many
-  // extra attempts with a stronger bounded-exponential backoff instead
-  // of falling through to the ~1000x-costlier 2PL fallback (ROADMAP
-  // "SmallBank fallback cost"). 0 restores the paper's flat budget.
-  int lock_abort_extra_retries = 8;
   // Max-outstanding window for doorbell-batched verbs (rdma::SendQueue)
   // used by the transaction layer's lock/prefetch/write-back phases.
   size_t rdma_batch_window = 16;
-  // Adaptive contention management: scale htm_retry_limit /
-  // lock_abort_extra_retries from each worker's live abort-cause mix
-  // (ROADMAP "adaptive budgets") — capacity-dominant mixes shrink the
-  // budget (retrying a deterministic overflow only delays the fallback),
-  // conflict/lock-dominant mixes stretch it. The chosen budget is
-  // exported as gauge txn.adaptive.retry_budget. htm_retry_limit == 0
-  // (fallback-only mode) is never overridden; false restores the static
-  // knobs exactly.
+  // Adaptive contention management: scale htm_retry_limit and the
+  // lock-abort retry extension (Worker::AdaptiveLockExtraRetries) from
+  // each worker's live abort-cause mix (ROADMAP "adaptive budgets") —
+  // capacity-dominant mixes shrink the budget (retrying a deterministic
+  // overflow only delays the fallback), conflict/lock-dominant mixes
+  // stretch it. The chosen budget is exported as gauge
+  // txn.adaptive.retry_budget. htm_retry_limit == 0 (fallback-only mode)
+  // is never overridden; false keeps both budgets static.
   bool adaptive_retry_budget = true;
   // Auto-chopping planner (paper section 3 / ROADMAP "transaction
   // chopping"): workloads route capacity-bound transactions through

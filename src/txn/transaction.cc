@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <cstring>
-#include <memory>
 #include <thread>
 #include <utility>
 
@@ -28,6 +27,14 @@ namespace {
 constexpr int kFallbackAttempts = 512;
 constexpr int kWaitTriesLimit = 4096;
 constexpr int kWriteBackRetries = 2000;
+// Start-phase conflicts (a remote lock or lease not taken) an HTM-path
+// transaction retries before the fallback serializes it.
+constexpr int kStartRetryLimit = 64;
+// Lock-observed XABORTs (the body saw a 2PL write lock) mean the holder
+// is mid-commit: stretch the retry budget by up to this many extra
+// attempts with a stronger bounded-exponential backoff instead of
+// falling through to the ~1000x-costlier 2PL fallback.
+constexpr int kLockAbortExtraRetries = 8;
 
 void SleepUs(uint64_t us) {
   std::this_thread::sleep_for(std::chrono::microseconds(us));
@@ -235,17 +242,16 @@ int Worker::AdaptiveRetryLimit() {
 }
 
 int Worker::AdaptiveLockExtraRetries() const {
-  const int base = cluster_->config().lock_abort_extra_retries;
-  if (!cluster_->config().adaptive_retry_budget || base <= 0) {
-    return base;
+  if (!cluster_->config().adaptive_retry_budget) {
+    return kLockAbortExtraRetries;
   }
   switch (MixRegime()) {
     case 0:
-      return base / 2;
+      return kLockAbortExtraRetries / 2;
     case 1:
-      return base * 2;
+      return kLockAbortExtraRetries * 2;
     default:
-      return base;
+      return kLockAbortExtraRetries;
   }
 }
 
@@ -257,27 +263,28 @@ Transaction::Transaction(Worker* worker)
 int Transaction::home_node() const { return worker_->node(); }
 
 void Transaction::AddRead(int table, uint64_t key) {
+  // Without read leases (the Fig. 17 ablation) a read is locked like a
+  // write.
+  AddRef(table, key, /*write=*/!cfg_.enable_read_lease);
+}
+
+void Transaction::AddWrite(int table, uint64_t key) {
+  AddRef(table, key, /*write=*/true);
+}
+
+void Transaction::AddRef(int table, uint64_t key, bool write) {
   if (Ref* existing = FindRef(table, key)) {
-    (void)existing;  // write subsumes read; duplicate reads are idempotent
+    existing->write |= write;  // a write subsumes a read
     return;
   }
   Ref ref;
   ref.table = table;
   ref.key = key;
-  ref.write = false;
+  ref.write = write;
   ref.node = cluster_.PartitionOf(table, key);
   ref.local = (ref.node == worker_->node());
   ref.value_size = cluster_.table(table).value_size;
   refs_.push_back(std::move(ref));
-}
-
-void Transaction::AddWrite(int table, uint64_t key) {
-  if (Ref* existing = FindRef(table, key)) {
-    existing->write = true;  // upgrade
-    return;
-  }
-  AddRead(table, key);
-  refs_.back().write = true;
 }
 
 void Transaction::MarkChainLocked(int table, uint64_t key) {
@@ -379,31 +386,25 @@ Transaction::StartResult Transaction::AcquireExclusive(Ref& ref, bool wait) {
   }
 }
 
-Transaction::StartResult Transaction::AcquireLease(Ref& ref, bool wait) {
-  // Fast path: an 8-byte READ of the state word. If a healthy lease is
-  // already installed, share it without any CAS — an RDMA CAS costs an
-  // order of magnitude more than a small READ (section 6.3), and under
-  // read-heavy sharing the optimistic CAS-on-INIT would fail anyway.
-  const uint64_t state_off = ref.entry_off + store::kEntryStateOffset;
-  uint64_t observed = 0;
-  if (cluster_.fabric().Read(ref.node, state_off, &observed,
-                             sizeof(observed)) != rdma::OpStatus::kOk) {
-    return StartResult::kNodeDown;
-  }
-  return AcquireLeaseWithState(ref, wait, observed);
-}
-
-Transaction::StartResult Transaction::AcquireLeaseWithState(Ref& ref,
-                                                            bool wait,
-                                                            uint64_t probed) {
+Transaction::StartResult Transaction::AcquireLease(Ref& ref) {
   if (!GateAllows(cluster_, ref.table, ref.key)) {
     return StartResult::kConflict;
   }
   stat::ScopedTimer phase(Ids().lease_wait_ns);
-  if (wait && IsWriteLocked(probed)) {
-    probed = kStateInit;  // CAS at once; the loop waits the lock out
+  // An 8-byte READ of the state word first, so that a healthy lease is
+  // shared without any CAS (section 6.3).
+  uint64_t observed = 0;
+  if (cluster_.fabric().Read(ref.node,
+                             ref.entry_off + store::kEntryStateOffset,
+                             &observed,
+                             sizeof(observed)) != rdma::OpStatus::kOk) {
+    return StartResult::kNodeDown;
   }
-  return LeaseCasLoop(ref, wait, probed, lease_end_, cfg_.lease_rw_us);
+  if (IsWriteLocked(observed)) {
+    observed = kStateInit;  // CAS at once; the loop waits the lock out
+  }
+  return LeaseCasLoop(ref, /*wait=*/true, observed, lease_end_,
+                      cfg_.lease_rw_us);
 }
 
 bool Transaction::LeaseShareable(uint64_t end, uint64_t now,
@@ -468,6 +469,194 @@ Transaction::StartResult Transaction::LeaseCasLoop(Ref& ref, bool wait,
   }
 }
 
+Transaction::StartResult Transaction::AcquireRound(
+    const std::vector<Ref*>& refs, uint64_t lease_us,
+    const stat::ScatterPhaseIds& ids) {
+  // One CAS or probe of a ref's state word. `done` is set once the op
+  // ran (a posted op whose target was down stays false).
+  struct StateOp {
+    Ref* ref;
+    bool cas;
+    uint64_t expected;
+    uint64_t desired;
+    uint64_t observed = 0;
+    bool done = false;
+  };
+  const uint64_t locked_val =
+      MakeWriteLocked(static_cast<uint8_t>(worker_->node()));
+  std::vector<StateOp> ops;
+  bool any_lease = false;
+  for (Ref* ref : refs) {
+    if (!ref->found || ref->chain_locked) {
+      continue;  // a chain-locked ref's lock is held by its chain
+    }
+    if (ref->write) {
+      // The blind CAS below bypasses AcquireExclusive's freeze gate.
+      if (!GateAllows(cluster_, ref->table, ref->key)) {
+        return StartResult::kConflict;
+      }
+      ops.push_back(StateOp{ref, true, kStateInit, locked_val});
+    } else {
+      ops.push_back(StateOp{ref, false, 0, 0});
+      any_lease = true;
+    }
+  }
+  if (ops.empty()) {
+    return StartResult::kOk;
+  }
+  stat::ScopedTimer phase(Ids().lock_acquire_ns);
+  const bool glob =
+      cluster_.fabric().atomic_level() == rdma::AtomicLevel::kGlob;
+  rdma::PhaseScatter scatter(cluster_.fabric(), SqConfig(), &ids);
+  // Runs `round` as one overlapped scatter: every target's doorbell is
+  // rung before any completion is polled, so k nodes cost ~1 round trip.
+  // A local record's CAS on a GLOB NIC and a local probe run inline.
+  // False if a target is down.
+  auto run = [&](std::vector<StateOp>& round) {
+    VerbOwners<size_t> owners;
+    for (size_t i = 0; i < round.size(); ++i) {
+      StateOp& op = round[i];
+      const Ref& ref = *op.ref;
+      const uint64_t state_off = ref.entry_off + store::kEntryStateOffset;
+      if (ref.local && (glob || !op.cas)) {
+        if (op.cas) {
+          StateCas(ref, op.expected, op.desired, &op.observed);
+        } else {
+          store::ClusterHashTable* host =
+              cluster_.hash_table(ref.node, ref.table);
+          // drtm-lint: allow(TX03 lease probe of a local record, stands in for a one-sided RDMA READ)
+          op.observed = htm::StrongLoad(host->StatePtr(ref.entry_off));
+        }
+        op.done = true;
+      } else if (op.cas) {
+        owners.Add(ref.node,
+                   scatter.To(ref.node).PostCas(state_off, op.expected,
+                                                op.desired),
+                   i);
+      } else {
+        owners.Add(ref.node,
+                   scatter.To(ref.node).PostRead(state_off, &op.observed,
+                                                 sizeof(op.observed)),
+                   i);
+      }
+    }
+    std::vector<rdma::ScatterCompletion> comps;
+    scatter.Gather(&comps);
+    bool ok = true;
+    for (const rdma::ScatterCompletion& sc : comps) {
+      StateOp& op = round[owners.Of(sc)];
+      if (sc.comp.status != rdma::OpStatus::kOk) {
+        ok = false;
+        continue;
+      }
+      if (op.cas) {
+        op.observed = sc.comp.observed;
+      }
+      op.done = true;
+    }
+    return ok;
+  };
+
+  // Round 1: a blind INIT -> locked CAS for every lock and a state-word
+  // probe for every lease. Acquisition order is arbitrary, which is safe
+  // because nothing in this round waits. Every lock taken is booked
+  // before any failure is acted on, so the caller's release sees it.
+  const bool round1_ok = run(ops);
+  std::vector<Ref*> contended;
+  for (const StateOp& op : ops) {
+    if (op.cas && op.done) {
+      if (op.observed == kStateInit) {
+        op.ref->locked = true;
+      } else {
+        contended.push_back(op.ref);
+      }
+    }
+  }
+  if (!round1_ok) {
+    return StartResult::kNodeDown;
+  }
+  if (any_lease) {
+    stat::ScopedTimer lease_phase(Ids().lease_wait_ns);
+    // A healthy lease is shared as is, CAS-free (an RDMA CAS costs an
+    // order of magnitude more than a small READ, section 6.3). Every
+    // other lease is installed, renewed or stolen by one CAS, all of
+    // them riding one more round.
+    const uint64_t now = cluster_.synctime().ReadStrong(worker_->node());
+    std::vector<StateOp> lease_cas;
+    for (const StateOp& op : ops) {
+      if (op.cas) {
+        continue;
+      }
+      Ref& ref = *op.ref;
+      const uint64_t seen = op.observed;
+      if (HasLease(seen) && LeaseShareable(LeaseEnd(seen), now, lease_us)) {
+        ref.leased = true;
+        ref.lease_end = LeaseEnd(seen);
+        continue;
+      }
+      const uint64_t desired = HasLease(seen)
+                                   ? LeaseReplacement(seen, lease_end_, now)
+                                   : MakeLease(lease_end_);
+      // A write lock or a lease renewed once already can only be waited
+      // out. Sharing above is safe on a bucket the elastic tier froze
+      // (it never extends a lease), but installing or renewing one would
+      // stretch the revocation wait.
+      if (IsWriteLocked(seen) || desired == kStateInit ||
+          !GateAllows(cluster_, ref.table, ref.key)) {
+        return StartResult::kConflict;
+      }
+      lease_cas.push_back(StateOp{&ref, true, seen, desired});
+    }
+    if (!run(lease_cas)) {
+      return StartResult::kNodeDown;
+    }
+    for (const StateOp& op : lease_cas) {
+      if (op.observed == op.expected) {
+        op.ref->leased = true;
+        op.ref->lease_end = lease_end_;
+        continue;
+      }
+      const StartResult result = LeaseCasLoop(*op.ref, /*wait=*/false,
+                                              op.observed, lease_end_,
+                                              lease_us);
+      if (result != StartResult::kOk) {
+        return result;
+      }
+    }
+  }
+  // Lock CASes that lost in round 1: the scalar continuation steals an
+  // expired lease and fails on anything else.
+  for (Ref* ref : contended) {
+    const StartResult result = AcquireExclusive(*ref, /*wait=*/false);
+    if (result != StartResult::kOk) {
+      return result;
+    }
+  }
+  return StartResult::kOk;
+}
+
+Transaction::StartResult Transaction::AcquireInOrder(
+    const std::vector<Ref*>& refs) {
+  // Waiting while holding earlier locks is deadlock-free only because
+  // every waiter acquires in the one global <table, key> order (§6.2).
+  assert(std::is_sorted(refs.begin(), refs.end(),
+                        [](const Ref* a, const Ref* b) {
+                          return a->table != b->table ? a->table < b->table
+                                                      : a->key < b->key;
+                        }));
+  for (Ref* ref : refs) {
+    if (!ref->found || ref->chain_locked) {
+      continue;
+    }
+    const StartResult result =
+        ref->write ? AcquireExclusive(*ref, /*wait=*/true) : AcquireLease(*ref);
+    if (result != StartResult::kOk) {
+      return result;
+    }
+  }
+  return StartResult::kOk;
+}
+
 Transaction::StartResult Transaction::PrefetchFromRaw(Ref& ref,
                                                       const uint8_t* raw) {
   store::EntryHeader header;
@@ -487,15 +676,6 @@ Transaction::StartResult Transaction::PrefetchFromRaw(Ref& ref,
   ref.buf.resize(ref.value_size);
   std::memcpy(ref.buf.data(), raw + sizeof(header), ref.value_size);
   return StartResult::kOk;
-}
-
-Transaction::StartResult Transaction::PrefetchRef(Ref& ref) {
-  std::vector<uint8_t> raw(sizeof(store::EntryHeader) + ref.value_size);
-  if (cluster_.fabric().Read(ref.node, ref.entry_off, raw.data(),
-                             raw.size()) != rdma::OpStatus::kOk) {
-    return StartResult::kNodeDown;
-  }
-  return PrefetchFromRaw(ref, raw.data());
 }
 
 Transaction::StartResult Transaction::PrefetchRefs(
@@ -533,50 +713,32 @@ Transaction::StartResult Transaction::PrefetchRefs(
   return StartResult::kOk;
 }
 
-bool Transaction::ResolveRef(Ref& ref) {
-  if (ref.local) {
-    ref.entry_off =
-        cluster_.hash_table(ref.node, ref.table)->FindEntry(ref.key);
-    ref.found = ref.entry_off != store::kInvalidOffset;
-    return true;
-  }
-  store::ClusterHashTable* host = cluster_.hash_table(ref.node, ref.table);
-  store::RemoteKv client(&cluster_.fabric(), ref.node, host->geometry(),
-                         cluster_.cache(worker_->node(), ref.node));
-  const store::RemoteEntryRef found = client.Lookup(ref.key);
-  if (!cluster_.fabric().IsAlive(ref.node)) {
-    return false;
-  }
-  ref.found = found.found;
-  ref.entry_off = found.entry_off;
-  return true;
-}
-
 bool Transaction::ResolveRefs(const std::vector<Ref*>& refs) {
   std::vector<Ref*> remote;
   for (Ref* ref : refs) {
     if (ref->local) {
-      ResolveRef(*ref);
+      ref->entry_off =
+          cluster_.hash_table(ref->node, ref->table)->FindEntry(ref->key);
+      ref->found = ref->entry_off != store::kInvalidOffset;
     } else {
       remote.push_back(ref);
     }
   }
-  if (remote.size() <= 1) {
-    return remote.empty() || ResolveRef(*remote[0]);  // nothing to overlap
+  if (remote.empty()) {
+    return true;
   }
   // One RemoteKv per ref (geometry is per <node, table>); the scatter
   // dedups queues per target node, so all chains walk in lockstep with
   // one overlapped doorbell per node per round.
-  std::vector<std::unique_ptr<store::RemoteKv>> clients;
+  std::vector<store::RemoteKv> clients;
   std::vector<store::RemoteKv::LookupTask> tasks(remote.size());
   clients.reserve(remote.size());
   for (size_t i = 0; i < remote.size(); ++i) {
     const Ref& ref = *remote[i];
-    store::ClusterHashTable* host = cluster_.hash_table(ref.node, ref.table);
-    clients.push_back(std::make_unique<store::RemoteKv>(
-        &cluster_.fabric(), ref.node, host->geometry(),
-        cluster_.cache(worker_->node(), ref.node)));
-    tasks[i].client = clients.back().get();
+    clients.emplace_back(&cluster_.fabric(), ref.node,
+                         cluster_.hash_table(ref.node, ref.table)->geometry(),
+                         cluster_.cache(worker_->node(), ref.node));
+    tasks[i].client = &clients.back();
     tasks[i].key = ref.key;
   }
   rdma::PhaseScatter scatter(cluster_.fabric(), SqConfig(),
@@ -679,93 +841,9 @@ Transaction::StartResult Transaction::StartPhase() {
   if (!AppendLockAhead(remote)) {
     return StartResult::kConflict;  // retried; nothing is locked yet
   }
-  return BatchedStartRemote(remote);
-}
-
-Transaction::StartResult Transaction::BatchedStartRemote(
-    const std::vector<Ref*>& remote) {
-  if (remote.empty()) {
-    return StartResult::kOk;
-  }
-  // The scatter below posts first-attempt lock CASes directly, bypassing
-  // the scalar acquire helpers — so the elastic freeze gate must be
-  // checked here, before any CAS can land on a frozen bucket.
-  // Chain-locked refs are exempt throughout: the chain already holds
-  // their exclusive lock, so this piece only prefetches them.
-  for (const Ref* ref : remote) {
-    if (!ref->chain_locked && !GateAllows(cluster_, ref->table, ref->key)) {
-      return StartResult::kConflict;
-    }
-  }
-  const uint64_t locked_val =
-      MakeWriteLocked(static_cast<uint8_t>(worker_->node()));
-
-  // Round 1: first-attempt lock CASes (INIT -> locked) and lease-probe
-  // READs for *all* target nodes ride one overlapped scatter — every
-  // doorbell is rung before any completion is polled, so k nodes cost
-  // ~1 round trip (PhaseScatter). Contended refs drop to the scalar
-  // helpers, which know how to steal expired leases and renew short
-  // ones — that path costs one redundant CAS/READ, but only under
-  // contention.
-  StartResult fail = StartResult::kOk;
-  std::vector<Ref*> contended;
-  {
-    stat::ScopedTimer phase(Ids().lock_acquire_ns);
-    std::vector<uint64_t> probes(remote.size(), 0);
-    std::vector<bool> is_cas(remote.size(), false);
-    rdma::PhaseScatter scatter(cluster_.fabric(), SqConfig(),
-                               &stat::ScatterStartLockIds());
-    VerbOwners<size_t> owners;
-    for (size_t i = 0; i < remote.size(); ++i) {
-      const Ref& ref = *remote[i];
-      if (ref.chain_locked) {
-        continue;  // lock already held by the chain; prefetch-only below
-      }
-      const uint64_t state_off = ref.entry_off + store::kEntryStateOffset;
-      rdma::SendQueue& sq = scatter.To(ref.node);
-      rdma::WrId id;
-      if (ref.write || !cfg_.enable_read_lease) {
-        is_cas[i] = true;
-        id = sq.PostCas(state_off, kStateInit, locked_val);
-      } else {
-        id = sq.PostRead(state_off, &probes[i], sizeof(probes[i]));
-      }
-      owners.Add(ref.node, id, i);
-    }
-    std::vector<rdma::ScatterCompletion> comps;
-    scatter.Gather(&comps);
-    // Mark every acquired lock before acting on any failure, so an
-    // early conflict return still releases everything acquired by
-    // other completions (Run() walks the marked flags).
-    for (const rdma::ScatterCompletion& sc : comps) {
-      const size_t i = owners.Of(sc);
-      if (sc.comp.status != rdma::OpStatus::kOk) {
-        fail = StartResult::kNodeDown;
-        continue;
-      }
-      if (!is_cas[i]) {
-        continue;  // lease probes are processed below
-      }
-      if (sc.comp.observed == kStateInit) {
-        remote[i]->locked = true;
-      } else {
-        contended.push_back(remote[i]);
-      }
-    }
-    for (size_t i = 0; i < remote.size() && fail == StartResult::kOk; ++i) {
-      if (!is_cas[i] && !remote[i]->chain_locked) {
-        fail = AcquireLeaseWithState(*remote[i], /*wait=*/false, probes[i]);
-      }
-    }
-    for (size_t i = 0; i < contended.size() && fail == StartResult::kOk; ++i) {
-      fail = AcquireExclusive(*contended[i], /*wait=*/false);
-    }
-  }
-  if (fail != StartResult::kOk) {
-    return fail;
-  }
-  // Round 2: prefetch every acquired ref's header+value image.
-  return PrefetchRefs(remote);
+  const StartResult sr =
+      AcquireRound(remote, cfg_.lease_rw_us, stat::ScatterStartLockIds());
+  return sr == StartResult::kOk ? PrefetchRefs(remote) : sr;
 }
 
 void Transaction::ConfirmLeasesInHtm() {
@@ -1047,7 +1125,7 @@ TxnStatus Transaction::Run(const Body& body) {
       ReleaseAndReset();
       ++stats.start_conflicts;
       stat::Registry::Global().Add(Ids().start_conflict);
-      if (++start_conflicts > cfg_.start_retry_limit) {
+      if (++start_conflicts > kStartRetryLimit) {
         break;  // heavy remote contention: let the fallback serialize us
       }
       worker_->Backoff(start_conflicts);
@@ -1410,11 +1488,12 @@ bool Transaction::ReadDynamic(int table, uint64_t key, void* out) {
   ref.node = worker_->node();
   ref.local = true;
   ref.value_size = cluster_.table(table).value_size;
-  if (!ResolveRef(ref) || !ref.found) {
+  const std::vector<Ref*> one = {&ref};
+  if (!ResolveRefs(one) || !ref.found) {
     return false;
   }
-  if (AcquireLease(ref, /*wait=*/true) != StartResult::kOk ||
-      PrefetchRef(ref) != StartResult::kOk) {
+  if (AcquireInOrder(one) != StartResult::kOk ||
+      PrefetchRefs(one) != StartResult::kOk) {
     dynamic_conflict_ = true;
     return false;
   }
@@ -1569,96 +1648,6 @@ bool Transaction::OrderedFindFloor(int table, uint64_t lo, uint64_t bound,
 
 // --- fallback path -------------------------------------------------------------
 
-Transaction::StartResult Transaction::OptimisticFallbackAcquire() {
-  // Like BatchedStartRemote, this posts CASes directly; check the
-  // elastic freeze gate up front. Chain-locked refs are exempt: their
-  // lock is already held by the chain, so they are prefetch-only here.
-  for (const Ref& ref : refs_) {
-    if (ref.found && !ref.chain_locked &&
-        !GateAllows(cluster_, ref.table, ref.key)) {
-      return StartResult::kConflict;
-    }
-  }
-  stat::ScopedTimer phase(Ids().lock_acquire_ns);
-  const uint64_t locked_val =
-      MakeWriteLocked(static_cast<uint8_t>(worker_->node()));
-  const uint64_t lease_val = MakeLease(lease_end_);
-  const bool glob =
-      cluster_.fabric().atomic_level() == rdma::AtomicLevel::kGlob;
-  auto wants_lock = [&](const Ref& ref) {
-    return ref.write || !cfg_.enable_read_lease;
-  };
-  // Books the outcome of one blind CAS from INIT; false if contended. A
-  // lease CAS that lost to a healthy lease shares it instead.
-  auto take = [&](Ref& ref, uint64_t observed) {
-    if (observed == kStateInit) {
-      ref.locked = wants_lock(ref);
-      ref.leased = !ref.locked;
-      ref.lease_end = lease_end_;
-      return true;
-    }
-    if (!wants_lock(ref) && HasLease(observed) &&
-        LeaseShareable(LeaseEnd(observed),
-                       cluster_.synctime().ReadStrong(worker_->node()),
-                       cfg_.lease_rw_us)) {
-      ref.leased = true;
-      ref.lease_end = LeaseEnd(observed);
-      return true;
-    }
-    return false;
-  };
-
-  // Local records first, via the cheap processor CAS where the NIC
-  // level allows it: if a neighbour's record is already contended there
-  // is no point ringing any doorbell.
-  for (Ref& ref : refs_) {
-    if (!ref.found || !(ref.local && glob) || ref.chain_locked) {
-      continue;
-    }
-    uint64_t observed = 0;
-    StateCas(ref, kStateInit, wants_lock(ref) ? locked_val : lease_val,
-             &observed);
-    if (!take(ref, observed)) {
-      return StartResult::kConflict;
-    }
-  }
-
-  // One non-blocking CAS per remaining record — every target's doorbell
-  // rings before any completion is polled, so the whole lock set costs
-  // ~1 overlapped round trip when uncontended. Acquisition order is
-  // arbitrary, which is safe exactly because nothing here waits: on any
-  // contention the caller releases every acquired ref before the
-  // ordered serial loop re-acquires from scratch, so no worker ever
-  // blocks while holding out-of-order locks (deadlock freedom, §6.2).
-  StartResult result = StartResult::kOk;
-  rdma::PhaseScatter scatter(cluster_.fabric(), SqConfig(),
-                             &stat::ScatterFallbackIds());
-  VerbOwners<size_t> owners;
-  for (size_t i = 0; i < refs_.size(); ++i) {
-    const Ref& ref = refs_[i];
-    if (!ref.found || (ref.local && glob) || ref.chain_locked) {
-      continue;
-    }
-    owners.Add(ref.node,
-               scatter.To(ref.node).PostCas(
-                   ref.entry_off + store::kEntryStateOffset, kStateInit,
-                   wants_lock(ref) ? locked_val : lease_val),
-               i);
-  }
-  std::vector<rdma::ScatterCompletion> comps;
-  scatter.Gather(&comps);
-  for (const rdma::ScatterCompletion& sc : comps) {
-    // Keep booking acquisitions after a failure so the release sees them.
-    if (sc.comp.status != rdma::OpStatus::kOk) {
-      result = StartResult::kNodeDown;
-    } else if (!take(refs_[owners.Of(sc)], sc.comp.observed) &&
-               result == StartResult::kOk) {
-      result = StartResult::kConflict;
-    }
-  }
-  return result;
-}
-
 TxnStatus Transaction::RunFallback(const Body& body) {
   mode_ = Mode::kFallback;
   stat::ScopedTimer fallback_phase(Ids().fallback_ns);
@@ -1676,50 +1665,25 @@ TxnStatus Transaction::RunFallback(const Body& body) {
     wal_buffer_.clear();
     replay_wal_sum_ = 0;
 
-    // Optimistic first pass: resolve every chain in lockstep, try the
-    // whole lock set with one non-blocking overlapped CAS scatter, then
-    // prefetch everything in one more round (local records too — the
-    // serial loop's PrefetchRef also reads them through the fabric).
+    // First round: resolve every chain in lockstep and take the whole
+    // lock/lease set in one non-blocking round (local records too).
     StartResult fail =
-        ResolveRefs(all) ? OptimisticFallbackAcquire() : StartResult::kNodeDown;
-    if (fail == StartResult::kOk) {
-      fail = PrefetchRefs(all);
-    }
+        ResolveRefs(all)
+            ? AcquireRound(all, cfg_.lease_rw_us, stat::ScatterFallbackIds())
+            : StartResult::kNodeDown;
     if (fail == StartResult::kOk) {
       stat::Registry::Global().Add(Ids().fallback_optimistic_hit);
     } else if (fail == StartResult::kConflict) {
-      // Contention releases everything (preserving deadlock freedom),
-      // then resolves and locks everything — local records included —
-      // in the global <table, key> order (refs_ is already sorted),
-      // waiting out holders; this order is what makes the waiting
-      // deadlock-free.
+      // Contention releases everything, then re-resolves and waits for
+      // every lock and lease in the global <table, key> order (refs_ is
+      // sorted); no worker waits while holding out-of-order locks, which
+      // keeps the fallback deadlock-free.
       stat::Registry::Global().Add(Ids().fallback_fallthrough);
       ReleaseAndReset();
-      fail = StartResult::kOk;
-      for (Ref& ref : refs_) {
-        if (!ResolveRef(ref)) {
-          fail = StartResult::kNodeDown;
-          break;
-        }
-        if (!ref.found) {
-          continue;
-        }
-        StartResult result;
-        if (ref.chain_locked) {
-          result = StartResult::kOk;  // the chain already holds the lock
-        } else if (ref.write || !cfg_.enable_read_lease) {
-          result = AcquireExclusive(ref, /*wait=*/true);
-        } else {
-          result = AcquireLease(ref, /*wait=*/true);
-        }
-        if (result == StartResult::kOk) {
-          result = PrefetchRef(ref);
-        }
-        if (result != StartResult::kOk) {
-          fail = result;
-          break;
-        }
-      }
+      fail = ResolveRefs(all) ? AcquireInOrder(all) : StartResult::kNodeDown;
+    }
+    if (fail == StartResult::kOk) {
+      fail = PrefetchRefs(all);
     }
     // Leases must be valid before any irreversible update (§6.2): the
     // confirmation is the serialization point of the fallback.
@@ -1856,124 +1820,10 @@ TxnStatus Transaction::RunFallback(const Body& body) {
 
 // --- read-only transactions ----------------------------------------------------
 
-Transaction::StartResult Transaction::LeaseAllForReadOnly() {
-  // Round 1: probe every found record's state word — local via a
-  // strong load, all remote probes in one overlapped scatter. A healthy
-  // existing lease is shared from the plain READ, CAS-free (an RDMA CAS
-  // costs an order of magnitude more, section 6.3).
-  std::vector<uint64_t> probes(refs_.size(), 0);
-  {
-    rdma::PhaseScatter scatter(cluster_.fabric(), SqConfig(),
-                               &stat::ScatterRoLeaseIds());
-    for (size_t i = 0; i < refs_.size(); ++i) {
-      const Ref& ref = refs_[i];
-      if (!ref.found) {
-        continue;
-      }
-      if (ref.local) {
-        store::ClusterHashTable* host =
-            cluster_.hash_table(ref.node, ref.table);
-        // drtm-lint: allow(TX03 fallback lease probe, stands in for a one-sided RDMA READ)
-        probes[i] = htm::StrongLoad(host->StatePtr(ref.entry_off));
-      } else {
-        scatter.To(ref.node).PostRead(ref.entry_off + store::kEntryStateOffset,
-                                      &probes[i], sizeof(probes[i]));
-      }
-    }
-    std::vector<rdma::ScatterCompletion> comps;
-    scatter.Gather(&comps);
-    for (const rdma::ScatterCompletion& sc : comps) {
-      if (sc.comp.status != rdma::OpStatus::kOk) {
-        return StartResult::kNodeDown;
-      }
-    }
-  }
-
-  // Round 2: lease every found record with the common end time via CAS
-  // (sections 4.5 and 6.3), seeded by its probe. The first CAS of every
-  // record that needs one rides a single overlapped scatter; only CAS
-  // failures drop to the scalar share/renew loop.
-  const bool glob =
-      cluster_.fabric().atomic_level() == rdma::AtomicLevel::kGlob;
-  std::vector<uint64_t> expected(refs_.size(), kStateInit);
-  std::vector<uint64_t> desired(refs_.size(), MakeLease(lease_end_));
-  std::vector<uint64_t> observed(refs_.size(), 0);
-  std::vector<bool> need_cas(refs_.size(), false);
-  StartResult result = StartResult::kOk;
-  {
-    rdma::PhaseScatter scatter(cluster_.fabric(), SqConfig(),
-                               &stat::ScatterRoLeaseIds());
-    VerbOwners<size_t> owners;
-    for (size_t i = 0; i < refs_.size(); ++i) {
-      Ref& ref = refs_[i];
-      if (!ref.found) {
-        continue;
-      }
-      if (HasLease(probes[i])) {
-        const uint64_t now = cluster_.synctime().ReadStrong(worker_->node());
-        if (LeaseShareable(LeaseEnd(probes[i]), now, cfg_.lease_ro_us)) {
-          ref.leased = true;
-          ref.lease_end = LeaseEnd(probes[i]);
-          continue;
-        }
-        desired[i] = LeaseReplacement(probes[i], lease_end_, now);
-        if (desired[i] == kStateInit) {
-          result = StartResult::kConflict;  // renewed once: wait it out
-          break;
-        }
-        expected[i] = probes[i];
-      } else if (IsWriteLocked(probes[i])) {
-        result = StartResult::kConflict;
-        break;
-      }
-      // Elastic freeze gate: sharing an existing lease above is safe
-      // (it never extends one), but installing or renewing a lease on
-      // a frozen bucket would stretch the revocation wait — retry.
-      if (!GateAllows(cluster_, ref.table, ref.key)) {
-        result = StartResult::kConflict;
-        break;
-      }
-      need_cas[i] = true;
-      if (ref.local && glob) {
-        StateCas(ref, expected[i], desired[i], &observed[i]);
-      } else {
-        owners.Add(ref.node,
-                   scatter.To(ref.node).PostCas(
-                       ref.entry_off + store::kEntryStateOffset, expected[i],
-                       desired[i]),
-                   i);
-      }
-    }
-    std::vector<rdma::ScatterCompletion> comps;
-    scatter.Gather(&comps);
-    for (const rdma::ScatterCompletion& sc : comps) {
-      if (sc.comp.status != rdma::OpStatus::kOk) {
-        result = StartResult::kNodeDown;
-      } else {
-        observed[owners.Of(sc)] = sc.comp.observed;
-      }
-    }
-  }
-  // Scalar continuation for refs whose batched CAS lost the race.
-  for (size_t i = 0; i < refs_.size() && result == StartResult::kOk; ++i) {
-    if (!need_cas[i]) {
-      continue;
-    }
-    if (observed[i] == expected[i]) {
-      refs_[i].leased = true;
-      refs_[i].lease_end = lease_end_;
-    } else {
-      result = LeaseCasLoop(refs_[i], /*wait=*/false, observed[i], lease_end_,
-                            cfg_.lease_ro_us);
-    }
-  }
-  return result;
-}
-
 ReadOnlyTransaction::ReadOnlyTransaction(Worker* worker) : txn_(worker) {}
 
 void ReadOnlyTransaction::AddRead(int table, uint64_t key) {
-  txn_.AddRead(table, key);
+  txn_.AddRef(table, key, /*write=*/false);  // leased even without read leases
 }
 
 TxnStatus ReadOnlyTransaction::Execute() {
@@ -1989,8 +1839,10 @@ TxnStatus ReadOnlyTransaction::Execute() {
     // Every record is leased with one common end time (Fig. 8): resolve
     // all keys in lockstep, lease them, then prefetch in one round.
     txn_.BeginAttempt(txn_.cfg_.lease_ro_us);
-    StartResult sr = txn_.ResolveRefs(all) ? txn_.LeaseAllForReadOnly()
-                                           : StartResult::kNodeDown;
+    StartResult sr = txn_.ResolveRefs(all)
+                         ? txn_.AcquireRound(all, txn_.cfg_.lease_ro_us,
+                                             stat::ScatterRoLeaseIds())
+                         : StartResult::kNodeDown;
     if (sr == StartResult::kOk) {
       sr = txn_.PrefetchRefs(all);
     }

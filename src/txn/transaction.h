@@ -30,6 +30,7 @@
 #include "src/htm/htm.h"
 #include "src/rdma/verbs_batch.h"
 #include "src/replay/replay_log.h"
+#include "src/stat/scatter_stats.h"
 #include "src/txn/cluster.h"
 
 namespace drtm {
@@ -125,11 +126,12 @@ class Worker {
   // Adaptive contention management: the HTM retry budget and the
   // lock-abort extension derived from this worker's live abort-cause
   // mix. With too few samples (or adaptive_retry_budget off) these are
-  // the static knobs; a capacity-dominant mix halves them (retrying a
-  // deterministic overflow only delays the fallback), a contention-
-  // dominant mix doubles them (retries are ~1000x cheaper than a 2PL
-  // rerun). htm_retry_limit == 0 (fallback-only mode) is never touched.
-  // The chosen budget is exported as gauge txn.adaptive.retry_budget.
+  // htm_retry_limit and a fixed extension of 8; a capacity-dominant mix
+  // halves them (retrying a deterministic overflow only delays the
+  // fallback), a contention-dominant mix doubles them (retries are
+  // ~1000x cheaper than a 2PL rerun). htm_retry_limit == 0
+  // (fallback-only mode) is never touched. The chosen budget is exported
+  // as gauge txn.adaptive.retry_budget.
   int AdaptiveRetryLimit();
   int AdaptiveLockExtraRetries() const;
   AbortMixWindow& abort_mix() { return abort_mix_; }
@@ -162,6 +164,7 @@ class Transaction {
   explicit Transaction(Worker* worker);
 
   // --- declaration (before Run) --------------------------------------------
+  // A read is leased, or locked when read leases are off (Fig. 17).
   void AddRead(int table, uint64_t key);
   void AddWrite(int table, uint64_t key);
   // Marks a declared record as covered by a chain lock held by the
@@ -222,7 +225,7 @@ class Transaction {
   struct Ref {
     int table;
     uint64_t key;
-    bool write;
+    bool write;  // exclusively locked; otherwise leased
     int node;
     bool local;
     bool found = false;
@@ -256,6 +259,8 @@ class Transaction {
     std::vector<uint8_t> value;
   };
 
+  // Declares a record, or upgrades a declared one to a write.
+  void AddRef(int table, uint64_t key, bool write);
   Ref* FindRef(int table, uint64_t key);
   const Ref* FindRef(int table, uint64_t key) const {
     return const_cast<Transaction*>(this)->FindRef(table, key);
@@ -265,9 +270,8 @@ class Transaction {
     return rdma::SendQueue::Config{cfg_.rdma_batch_window};
   }
 
-  // --- phases shared by the HTM start, the fallback and read-only
-  // transactions: resolve -> lock/lease -> prefetch. Each path keeps
-  // its own first-round lock/lease policy.
+  // --- phases shared by the HTM start, the fallback, read-only
+  // transactions and chain locks: resolve -> lock/lease -> prefetch.
   // Starts an attempt: captures the softtime, sets our lease end to
   // now + lease_us and re-resolves every ref's owner node.
   void BeginAttempt(uint64_t lease_us);
@@ -276,6 +280,23 @@ class Transaction {
   // target node per chain round). Returns false if a target died
   // mid-walk.
   bool ResolveRefs(const std::vector<Ref*>& refs);
+  // The one non-blocking lock/lease acquire, for every found ref in
+  // `refs` that no chain lock covers: round 1 is a blind INIT -> locked
+  // CAS per write ref and a state-word probe per read ref; a healthy
+  // lease is then shared with no CAS, and every other lease is
+  // installed, renewed or stolen by one CAS, all in round 2. Each round
+  // is one overlapped scatter (counted under `ids`). A CAS that lost
+  // goes to the non-waiting scalar continuation (AcquireExclusive /
+  // LeaseCasLoop); kConflict leaves the acquired refs marked for the
+  // caller's release. Leases we install end at lease_end_; lease_us is
+  // this path's lease length, which decides what is shareable
+  // (LeaseShareable).
+  StartResult AcquireRound(const std::vector<Ref*>& refs, uint64_t lease_us,
+                           const stat::ScatterPhaseIds& ids);
+  // The one waiting acquire: locks or leases every found, not
+  // chain-locked ref of `refs`, which must be in <table, key> order,
+  // waiting out holders one ref at a time.
+  StartResult AcquireInOrder(const std::vector<Ref*>& refs);
   // Reads the header+value image of every found ref in `refs` in one
   // overlapped scatter round, then parses each (PrefetchFromRaw).
   StartResult PrefetchRefs(const std::vector<Ref*>& refs);
@@ -308,15 +329,9 @@ class Transaction {
   // once the locks they name are all released without a commit.
   void CloseLockAhead();
 
-  // HTM path.
+  // HTM path: resolves, locks/leases (AcquireRound) and prefetches the
+  // remote refs, each phase overlapped across the target nodes.
   StartResult StartPhase();
-  // Scatter-gather Start-phase core: first-attempt lock CASes and
-  // lease-probe READs for all remote refs ride one *overlapped* doorbell
-  // per target node (rdma::PhaseScatter), then the prefetch READs ride a
-  // second scatter round — a k-node transaction pays ~2 overlapped round
-  // trips, not 2k serial ones. Contended refs (failed first CAS, locked
-  // probe) drop to the scalar helpers.
-  StartResult BatchedStartRemote(const std::vector<Ref*>& remote);
   void ConfirmLeasesInHtm();
   void WriteWalInHtm();
 
@@ -338,13 +353,10 @@ class Transaction {
   void ReleaseAndReset();
   TxnStatus RunHtmPath(const Body& body, bool* out_committed);
 
-  // Shared lock helpers (both paths).
+  // Scalar helpers of AcquireRound (wait = false) and AcquireInOrder.
   StartResult AcquireExclusive(Ref& ref, bool wait);
-  StartResult AcquireLease(Ref& ref, bool wait);
-  // Lease acquisition given an already-observed state word (the probe
-  // READ happened elsewhere — batched, in the Start doorbell).
-  StartResult AcquireLeaseWithState(Ref& ref, bool wait, uint64_t observed);
-  StartResult PrefetchRef(Ref& ref);
+  // Probes the state word with a READ, then LeaseCasLoop, waiting.
+  StartResult AcquireLease(Ref& ref);
   // Parses a prefetched header+value image into ref (key check, version,
   // value copy); undoes the ref's lock on a key mismatch.
   StartResult PrefetchFromRaw(Ref& ref, const uint8_t* raw);
@@ -357,19 +369,6 @@ class Transaction {
 
   // Fallback path (section 6.2).
   TxnStatus RunFallback(const Body& body);
-  // Optimistic batched first pass of the 2PL fallback: a blind lock /
-  // lease CAS on every resolved record, all riding one overlapped
-  // scatter round — strictly non-blocking, so acquiring out of the
-  // global order is deadlock-free. kConflict means some ref came back
-  // contended; the caller must release everything acquired and drop to
-  // the global-sort-order serial loop.
-  StartResult OptimisticFallbackAcquire();
-  bool ResolveRef(Ref& ref);  // strong/remote lookup of entry_off
-
-  // Read-only first round (Fig. 8): probes every resolved record's state
-  // word, then CASes our common lease onto every record that has no
-  // shareable one.
-  StartResult LeaseAllForReadOnly();
 
   // In-body helpers.
   bool LocalReadInHtm(Ref& ref, void* out);

@@ -13,6 +13,7 @@
 #include "src/common/rand.h"
 #include "src/htm/htm.h"
 #include "src/rdma/fabric.h"
+#include "src/rdma/phase_scatter.h"
 #include "src/store/cluster_hash.h"
 #include "src/store/location_cache.h"
 #include "src/store/remote_kv.h"
@@ -283,6 +284,77 @@ TEST(RemoteKvStress, LookupUnderInsertionChurnFindsStableKeys) {
   inserter.join();
   reader.join();
   EXPECT_FALSE(lost.load());
+}
+
+TEST(RemoteKvStress, ScatterLookupUnderCacheChurnFindsStableKeys) {
+  // Readers on node 0 resolve one key on each of nodes 1 and 2 per
+  // ScatterLookup through location caches they share, while another
+  // thread keeps invalidating those keys' main buckets. A walk whose
+  // cache lookup misses can find the bucket re-installed by another
+  // reader by the time it posts its READs; it must still finish.
+  rdma::Fabric fabric(TestFabric(3));
+  ClusterHashTable::Config config;
+  config.main_buckets = 1 << 6;
+  config.indirect_buckets = 1 << 6;
+  config.capacity = 1 << 10;
+  config.value_size = 8;
+  ClusterHashTable host1(&fabric.memory(1), config);
+  ClusterHashTable host2(&fabric.memory(2), config);
+  constexpr uint64_t kKeysPerNode = 8;
+  const uint64_t value = 7;
+  for (uint64_t k = 0; k < kKeysPerNode; ++k) {
+    ASSERT_TRUE(host1.Insert(k, &value));
+    ASSERT_TRUE(host2.Insert(k, &value));
+  }
+  LocationCache cache1(1 << 20);
+  LocationCache cache2(1 << 20);
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> misses{0};
+  std::atomic<uint64_t> lookups{0};
+  std::thread invalidator([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      for (uint64_t k = 0; k < kKeysPerNode; ++k) {
+        cache1.Invalidate(host1.geometry().MainBucketOffset(k));
+        cache2.Invalidate(host2.geometry().MainBucketOffset(k));
+      }
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      RemoteKv kv1(&fabric, 1, host1.geometry(), &cache1);
+      RemoteKv kv2(&fabric, 2, host2.geometry(), &cache2);
+      Xoshiro256 rng(300 + static_cast<uint64_t>(t));
+      std::vector<RemoteKv::LookupTask> tasks(2);
+      uint64_t local_lookups = 0;
+      while (!stop.load(std::memory_order_acquire)) {
+        tasks[0] = RemoteKv::LookupTask{};
+        tasks[0].client = &kv1;
+        tasks[0].key = rng.NextBounded(kKeysPerNode);
+        tasks[1] = RemoteKv::LookupTask{};
+        tasks[1].client = &kv2;
+        tasks[1].key = rng.NextBounded(kKeysPerNode);
+        rdma::PhaseScatter scatter(fabric, rdma::SendQueue::Config{});
+        RemoteKv::ScatterLookup(scatter, &tasks);
+        for (const RemoteKv::LookupTask& task : tasks) {
+          if (!task.result.found) {
+            misses.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        local_lookups += tasks.size();
+      }
+      lookups.fetch_add(local_lookups, std::memory_order_relaxed);
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+  stop.store(true, std::memory_order_release);
+  invalidator.join();
+  for (auto& reader : readers) {
+    reader.join();
+  }
+  EXPECT_GT(lookups.load(), 1000u);
+  EXPECT_EQ(misses.load(), 0u) << "of " << lookups.load() << " lookups";
 }
 
 }  // namespace

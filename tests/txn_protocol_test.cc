@@ -657,6 +657,129 @@ TEST_F(TxnProtocolTest, NodeDeathMidScatterSurfacesFailure) {
   EXPECT_EQ(Transfer(&warm, 0, 1, 5), TxnStatus::kCommitted);
 }
 
+// Sets `key`'s state word on `node` to `word` with a remote WRITE, as if
+// another machine had left it there.
+void SetState(Cluster& cluster, int table, int node, uint64_t key,
+              uint64_t word) {
+  store::ClusterHashTable* host = cluster.hash_table(node, table);
+  ASSERT_EQ(cluster.fabric().Write(
+                node, host->FindEntry(key) + store::kEntryStateOffset, &word,
+                sizeof(word)),
+            rdma::OpStatus::kOk);
+}
+
+uint64_t StateOf(Cluster& cluster, int table, int node, uint64_t key) {
+  store::ClusterHashTable* host = cluster.hash_table(node, table);
+  return htm::StrongLoad(host->StatePtr(host->FindEntry(key)));
+}
+
+TEST_F(TxnProtocolTest, FallbackFirstRoundSharesHealthyRemoteLeaseWithoutCas) {
+  auto config = SmallConfig(2);
+  config.htm_retry_limit = 0;  // every transaction uses the 2PL fallback
+  SetUpCluster(config);
+  // Another machine's lease on remote account 1, far from expiry.
+  const uint64_t lease = MakeLease(
+      cluster_->synctime().ReadStrong(0) + 100 * config.lease_rw_us);
+  SetState(*cluster_, table_, 1, 1, lease);
+  Worker worker(cluster_.get(), 0, 0);
+  const stat::Snapshot before = stat::Registry::Global().TakeSnapshot();
+  Transaction txn(&worker);
+  txn.AddRead(table_, 1);
+  uint64_t balance = 0;
+  ASSERT_EQ(
+      txn.Run([&](Transaction& t) { return t.Read(table_, 1, &balance); }),
+      TxnStatus::kCommitted);
+  const stat::Snapshot after = stat::Registry::Global().TakeSnapshot();
+  EXPECT_EQ(balance, kInitialBalance);
+  // Shared from the probe READ: no CAS was posted, the word is untouched.
+  EXPECT_EQ(after.Counter("rdma.cas.ops") - before.Counter("rdma.cas.ops"),
+            0u);
+  EXPECT_EQ(StateOf(*cluster_, table_, 1, 1), lease);
+  EXPECT_EQ(after.Counter("txn.fallback.optimistic_hit") -
+                before.Counter("txn.fallback.optimistic_hit"),
+            1u);
+}
+
+TEST_F(TxnProtocolTest, FallbackFirstRoundStealsExpiredLeases) {
+  auto config = SmallConfig(2);
+  config.htm_retry_limit = 0;
+  SetUpCluster(config);
+  // Expired leases on a remote account read (1) and one written (3).
+  const uint64_t expired = MakeLease(1);
+  SetState(*cluster_, table_, 1, 1, expired);
+  SetState(*cluster_, table_, 1, 3, expired);
+  Worker worker(cluster_.get(), 0, 0);
+  const stat::Snapshot before = stat::Registry::Global().TakeSnapshot();
+  Transaction txn(&worker);
+  txn.AddRead(table_, 1);
+  txn.AddWrite(table_, 3);
+  uint64_t seen_state = 0;
+  ASSERT_EQ(txn.Run([&](Transaction& t) {
+    uint64_t a = 0;
+    uint64_t b = 0;
+    seen_state = StateOf(*cluster_, table_, 1, 1);
+    if (!t.Read(table_, 1, &a) || !t.Read(table_, 3, &b)) {
+      return false;
+    }
+    b += a;
+    return t.Write(table_, 3, &b);
+  }),
+            TxnStatus::kCommitted);
+  const stat::Snapshot after = stat::Registry::Global().TakeSnapshot();
+  // Both were taken in the first round, without the ordered fall-through.
+  EXPECT_EQ(after.Counter("txn.fallback.ordered_fallthrough") -
+                before.Counter("txn.fallback.ordered_fallthrough"),
+            0u);
+  EXPECT_EQ(after.Counter("txn.fallback.optimistic_hit") -
+                before.Counter("txn.fallback.optimistic_hit"),
+            1u);
+  EXPECT_TRUE(HasLease(seen_state));
+  EXPECT_GT(LeaseEnd(seen_state), 1u);  // our lease replaced the stale one
+  EXPECT_EQ(StateOf(*cluster_, table_, 1, 3), kStateInit);
+  EXPECT_EQ(StrongBalance(3), 2 * kInitialBalance);
+}
+
+TEST_F(TxnProtocolTest, HtmStartLandsLeaseCasesOnTwoNodesInOneScatterRound) {
+  SetUpCluster(SmallConfig(3));
+  Worker worker(cluster_.get(), 0, 0);
+  // Remote reads of INIT-state accounts on nodes 1 and 2. An HTM attempt
+  // that aborts (say, on a softtime tick) and retries would change the
+  // counts, so try fresh key pairs until one commits on its first try.
+  bool clean = false;
+  for (uint64_t k = 1; k + 1 < kAccounts && !clean; k += 3) {
+    const TxnStats stats_before = worker.stats();
+    const stat::Snapshot before = stat::Registry::Global().TakeSnapshot();
+    Transaction txn(&worker);
+    txn.AddRead(table_, k);      // node 1
+    txn.AddRead(table_, k + 1);  // node 2
+    ASSERT_EQ(txn.Run([&](Transaction& t) {
+      uint64_t a = 0;
+      uint64_t b = 0;
+      return t.Read(table_, k, &a) && t.Read(table_, k + 1, &b);
+    }),
+              TxnStatus::kCommitted);
+    const stat::Snapshot after = stat::Registry::Global().TakeSnapshot();
+    const TxnStats& stats = worker.stats();
+    if (stats.htm_conflict_aborts != stats_before.htm_conflict_aborts ||
+        stats.htm_lease_aborts != stats_before.htm_lease_aborts ||
+        stats.start_conflicts != stats_before.start_conflicts) {
+      continue;
+    }
+    clean = true;
+    auto delta = [&](const char* name) {
+      return after.Counter(name) - before.Counter(name);
+    };
+    // Round 1: one probe READ per node; round 2: one lease CAS per node.
+    EXPECT_EQ(delta("rdma.scatter.start_lock.rounds"), 2u);
+    EXPECT_EQ(delta("rdma.scatter.start_lock.doorbells"), 4u);
+    EXPECT_EQ(delta("rdma.scatter.start_lock.wqes"), 4u);
+    EXPECT_EQ(delta("rdma.cas.ops"), 2u);
+    EXPECT_TRUE(HasLease(StateOf(*cluster_, table_, 1, k)));
+    EXPECT_TRUE(HasLease(StateOf(*cluster_, table_, 2, k + 1)));
+  }
+  EXPECT_TRUE(clean) << "no attempt committed without a retry";
+}
+
 }  // namespace
 }  // namespace txn
 }  // namespace drtm

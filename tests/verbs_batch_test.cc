@@ -382,6 +382,32 @@ TEST(PhaseScatter, EmptyGatherRecordsNoRound) {
   EXPECT_EQ(delta.Counter("rdma.scatter.test_empty_round.rounds"), 0u);
 }
 
+TEST(PhaseScatter, GatherReturnsCompletionsOfWindowRungBatches) {
+  // Posting the WQE that fills the window rings the doorbell at once, so
+  // a round of exactly max_outstanding WQEs has nothing left to submit
+  // in Gather; their completions must still come back from this round,
+  // not leak into the next one.
+  Fabric fabric(TestConfig(2));
+  const uint64_t off = fabric.memory(1).Allocate(8);
+  PhaseScatter scatter(fabric, SendQueue::Config{2});
+  const WrId c1 = scatter.To(1).PostCas(off, 0, 5);
+  const WrId c2 = scatter.To(1).PostCas(off, 5, 6);
+  std::vector<ScatterCompletion> comps;
+  EXPECT_EQ(scatter.Gather(&comps), 2u);
+  ASSERT_EQ(comps.size(), 2u);
+  EXPECT_EQ(comps[0].comp.wr_id, c1);
+  EXPECT_EQ(comps[0].comp.observed, 0u);
+  EXPECT_EQ(comps[1].comp.wr_id, c2);
+  EXPECT_EQ(comps[1].comp.observed, 5u);
+  uint64_t scratch = 0;
+  const WrId r = scatter.To(1).PostRead(off, &scratch, 8);
+  comps.clear();
+  EXPECT_EQ(scatter.Gather(&comps), 1u);
+  ASSERT_EQ(comps.size(), 1u);
+  EXPECT_EQ(comps[0].comp.wr_id, r);
+  EXPECT_EQ(scratch, 6u);
+}
+
 TEST(PhaseScatter, RecordsDoorbellAndOverlapStats) {
   Fabric::Config config = TestConfig(3);
   config.latency = LatencyModel::Calibrated(1.0);
