@@ -57,8 +57,9 @@ int main() {
   std::printf("transfer committed: %s\n",
               status == txn::TxnStatus::kCommitted ? "yes" : "no");
 
-  // 5. A read-only transaction (lease-based, no HTM region): a consistent
-  //    snapshot of both balances.
+  // 5. A read-only transaction: a consistent snapshot of both balances.
+  //    The remote record is leased and prefetched; the local one is read
+  //    in an HTM region that also confirms the lease.
   txn::ReadOnlyTransaction ro(&worker);
   ro.AddRead(kAccounts, alice);
   ro.AddRead(kAccounts, bob);

@@ -107,7 +107,12 @@ uint32_t Registry::GaugeId(std::string_view name) {
 }
 
 void Registry::GaugeSet(uint32_t gauge_id, int64_t value) {
-  gauges_[gauge_id].value.store(value, std::memory_order_relaxed);
+  std::atomic<int64_t>& gauge = gauges_[gauge_id].value;
+  // Per-transaction setters mostly repeat the value; a store would still
+  // pull the shared line exclusive into this core on every call.
+  if (gauge.load(std::memory_order_relaxed) != value) {
+    gauge.store(value, std::memory_order_relaxed);
+  }
 }
 
 void Registry::GaugeAdd(uint32_t gauge_id, int64_t delta) {

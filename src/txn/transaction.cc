@@ -119,6 +119,7 @@ struct TxnMetricIds {
   uint32_t lock_abort = 0;
   uint32_t ro_commit = 0;
   uint32_t ro_retry = 0;
+  uint32_t ro_htm_commit = 0;
   uint32_t lock_backoff = 0;
   uint32_t fallback_optimistic_hit = 0;
   uint32_t fallback_fallthrough = 0;
@@ -144,6 +145,7 @@ const TxnMetricIds& Ids() {
     t.lock_abort = reg.CounterId("txn.lock_abort");
     t.ro_commit = reg.CounterId("txn.readonly.commit");
     t.ro_retry = reg.CounterId("txn.readonly.retry");
+    t.ro_htm_commit = reg.CounterId("txn.readonly.htm_commit");
     t.lock_backoff = reg.CounterId("txn.lock_backoff");
     t.fallback_optimistic_hit = reg.CounterId("txn.fallback.optimistic_hit");
     t.fallback_fallthrough =
@@ -1828,31 +1830,68 @@ void ReadOnlyTransaction::AddRead(int table, uint64_t key) {
 
 TxnStatus ReadOnlyTransaction::Execute() {
   using StartResult = Transaction::StartResult;
+  using Ref = Transaction::Ref;
   TxnStats& stats = txn_.worker_->stats();
+  htm::HtmThread& htm = txn_.worker_->htm();
   txn_.SortRefs();
-  std::vector<Transaction::Ref*> all;
-  for (Transaction::Ref& ref : txn_.refs_) {
-    all.push_back(&ref);
-  }
+  // Attempts left that read the local records in one HTM region; once
+  // none are left (at once in fallback-only mode) every record is
+  // leased, Fig. 8 exactly.
+  int htm_attempts = txn_.worker_->AdaptiveRetryLimit();
   for (int attempt = 0; attempt < kFallbackAttempts; ++attempt) {
     WindowGuard window(txn_.cluster_);
-    // Every record is leased with one common end time (Fig. 8): resolve
-    // all keys in lockstep, lease them, then prefetch in one round.
+    // The leased records share one common end time (Fig. 8): resolve
+    // them in lockstep, lease them, then prefetch in one round.
     txn_.BeginAttempt(txn_.cfg_.lease_ro_us);
-    StartResult sr = txn_.ResolveRefs(all)
-                         ? txn_.AcquireRound(all, txn_.cfg_.lease_ro_us,
+    const bool in_htm = htm_attempts > 0;
+    std::vector<Ref*> leased;
+    std::vector<Ref*> local;
+    for (Ref& ref : txn_.refs_) {
+      (in_htm && ref.local ? local : leased).push_back(&ref);
+    }
+    StartResult sr = txn_.ResolveRefs(leased)
+                         ? txn_.AcquireRound(leased, txn_.cfg_.lease_ro_us,
                                              stat::ScatterRoLeaseIds())
                          : StartResult::kNodeDown;
     if (sr == StartResult::kOk) {
-      sr = txn_.PrefetchRefs(all);
+      sr = txn_.PrefetchRefs(leased);
     }
     if (sr == StartResult::kNodeDown) {
       ++stats.node_failures;
       stat::Registry::Global().Add(Ids().node_failure);
       return TxnStatus::kNodeFailure;
     }
-    // Confirmation: all leases still valid at one instant (Fig. 8).
-    if (sr == StartResult::kOk && txn_.LeasesValid(txn_.refs_)) {
+    bool committed = false;
+    if (sr == StartResult::kOk && in_htm) {
+      // The local records are read as LOCAL_READs (Fig. 6) and the
+      // remote leases confirmed in one region, whose XEND is the
+      // serialization point, as on the read-write HTM path: no local
+      // record is leased or CASed.
+      for (Ref* ref : local) {
+        ref->buf.resize(ref->value_size);
+      }
+      unsigned hstatus;
+      {
+        stat::ScopedTimer attempt_phase(Ids().htm_attempt_ns);
+        hstatus = htm.Transact([&] {
+          for (Ref* ref : local) {
+            ref->found = txn_.LocalReadInHtm(*ref, ref->buf.data());
+          }
+          txn_.ConfirmLeasesInHtm();
+        });
+      }
+      committed = hstatus == htm::kCommitted;
+      if (committed) {
+        stat::Registry::Global().Add(Ids().ro_htm_commit);
+      } else {
+        // A capacity overflow recurs on every retry: lease instead.
+        htm_attempts = (hstatus & htm::kAbortCapacity) ? 0 : htm_attempts - 1;
+      }
+    } else if (sr == StartResult::kOk) {
+      // Confirmation: all leases still valid at one instant (Fig. 8).
+      committed = txn_.LeasesValid(txn_.refs_);
+    }
+    if (committed) {
       ++stats.read_only_committed;
       stat::Registry::Global().Add(Ids().ro_commit);
       return TxnStatus::kCommitted;

@@ -16,8 +16,12 @@
 // locking *all* records (local ones via RDMA CAS when the NIC only has
 // HCA-level atomicity, section 6.3) in a global <table, key> order.
 //
-// Read-only transactions (Fig. 8) skip HTM entirely: every record is
-// leased with one common end time, read, and the leases confirmed.
+// Read-only transactions (Fig. 8) lease their remote records with one
+// common end time and prefetch them; one HTM region then reads the local
+// records (LOCAL_READ) and confirms the leases, so a local record is
+// never leased. After a capacity abort or the HTM retry budget (at once
+// in fallback-only mode) every record is leased, read, and the leases
+// confirmed, as in the paper.
 #ifndef SRC_TXN_TRANSACTION_H_
 #define SRC_TXN_TRANSACTION_H_
 
@@ -155,9 +159,10 @@ class Worker {
 class Transaction {
  public:
   using Body = std::function<bool(Transaction&)>;
-  // Read-only transactions reuse the refs and the resolve, lease and
-  // prefetch phases of this class; chopped transactions hold their chain
-  // locks as the refs of a never-run instance.
+  // Read-only transactions reuse the refs, the resolve, lease and
+  // prefetch phases and the in-HTM local read and lease confirmation of
+  // this class; chopped transactions hold their chain locks as the refs
+  // of a never-run instance.
   friend class ReadOnlyTransaction;
   friend class ChoppedTransaction;
 
@@ -422,8 +427,12 @@ class ReadOnlyTransaction {
 
   void AddRead(int table, uint64_t key);
 
-  // Leases every declared record with one common end time, prefetches,
-  // and confirms. Retries internally on conflicts.
+  // Leases every remote record with one common end time and prefetches
+  // it, then reads the local records and confirms the leases in one HTM
+  // region. After a capacity abort or Worker::AdaptiveRetryLimit()
+  // aborted regions (none with htm_retry_limit == 0) it leases every
+  // record instead, prefetches, and confirms. Retries internally on
+  // conflicts.
   TxnStatus Execute();
 
   // Valid after a kCommitted Execute(). Returns false if the key did not
@@ -431,7 +440,8 @@ class ReadOnlyTransaction {
   bool Get(int table, uint64_t key, void* out) const;
 
   // Lease end time (synctime µs) of a record read by a kCommitted
-  // Execute(), or 0 if the key was absent. The elastic hot-key replica
+  // Execute(), or 0 if the key was absent or was a local record read in
+  // the HTM region, which holds no lease. The elastic hot-key replica
   // cache serves a cached value only while this lease is still valid —
   // writers wait out the lease, so the cached value cannot go stale
   // within it (paper section 4.5).

@@ -133,7 +133,8 @@ txn::TxnStatus SmallBankDb::RunSendPayment(txn::Worker* worker) {
 
 txn::TxnStatus SmallBankDb::RunBalance(txn::Worker* worker) {
   const uint64_t account = PickLocalAccount(worker);
-  // Read-only: runs under the Fig. 8 lease scheme, no HTM region.
+  // Read-only: both records are local, so they are read in one HTM
+  // region and never leased (ReadOnlyTransaction::Execute).
   txn::ReadOnlyTransaction ro(worker);
   ro.AddRead(savings_, account);
   ro.AddRead(checking_, account);

@@ -10,6 +10,7 @@
 
 #include "src/common/clock.h"
 #include "src/htm/htm.h"
+#include "src/stat/metrics.h"
 #include "src/store/kv_layout.h"
 #include "src/txn/cluster.h"
 #include "src/txn/lock_state.h"
@@ -266,6 +267,122 @@ TEST_F(LeaseProtocolTest, ReadOnlyLeasesAllowConcurrentReaders) {
     th.join();
   }
   EXPECT_EQ(committed.load(), 100);
+}
+
+TEST_F(LeaseProtocolTest, AllLocalReadOnlyTakesNoLeaseAndBlocksNoWriter) {
+  ClusterConfig config;
+  config.lease_ro_us = 200000;  // a lease would stall the writer 200 ms
+  SetUpCluster(config);
+  Worker worker(cluster_.get(), 0, 0);
+  const stat::Snapshot before = stat::Registry::Global().TakeSnapshot();
+  ReadOnlyTransaction ro(&worker);
+  ro.AddRead(table_, 0);
+  ASSERT_EQ(ro.Execute(), TxnStatus::kCommitted);
+  const stat::Snapshot after = stat::Registry::Global().TakeSnapshot();
+  uint64_t v = 0;
+  ASSERT_TRUE(ro.Get(table_, 0, &v));
+  EXPECT_EQ(v, 1u);
+  EXPECT_EQ(State(), kStateInit) << "a local read in HTM must not lease";
+  EXPECT_EQ(ro.LeaseEndOf(table_, 0), 0u);
+  EXPECT_EQ(after.Counter("txn.readonly.htm_commit") -
+                before.Counter("txn.readonly.htm_commit"),
+            1u);
+  EXPECT_EQ(after.Counter("rdma.cas.ops") - before.Counter("rdma.cas.ops"),
+            0u);
+
+  const uint64_t t0 = MonotonicNanos();
+  Transaction txn(&worker);
+  txn.AddWrite(table_, 0);
+  ASSERT_EQ(txn.Run([&](Transaction& t) {
+    uint64_t value = 0;
+    if (!t.Read(table_, 0, &value)) {
+      return false;
+    }
+    ++value;
+    return t.Write(table_, 0, &value);
+  }),
+            TxnStatus::kCommitted);
+  const uint64_t waited_us = (MonotonicNanos() - t0) / 1000;
+  EXPECT_LT(waited_us, config.lease_ro_us / 10);
+}
+
+TEST_F(LeaseProtocolTest, ReadOnlyWaitsOutRemoteWriteLockOnLocalRecord) {
+  ClusterConfig config;
+  SetUpCluster(config);
+  // Node 1 write-locks node 0's record through the NIC, as a remote
+  // writer's Start does; its pre-commit value stays 1.
+  uint64_t observed = 0;
+  ASSERT_EQ(cluster_->fabric().Cas(0, entry_ + store::kEntryStateOffset,
+                                   kStateInit, MakeWriteLocked(1), &observed),
+            rdma::OpStatus::kOk);
+  ASSERT_EQ(observed, kStateInit);
+  std::atomic<bool> done{false};
+  TxnStatus status = TxnStatus::kAborted;
+  uint64_t seen = 0;
+  std::thread reader([&] {
+    Worker worker(cluster_.get(), 0, 0);
+    ReadOnlyTransaction ro(&worker);
+    ro.AddRead(table_, 0);
+    status = ro.Execute();
+    if (status == TxnStatus::kCommitted) {
+      ro.Get(table_, 0, &seen);
+    }
+    done.store(true, std::memory_order_release);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_FALSE(done.load(std::memory_order_acquire))
+      << "read-only returned while the record was write-locked";
+  // The writer's commit: write back the new value, then unlock.
+  const uint64_t committed = 42;
+  ASSERT_EQ(cluster_->fabric().Write(0, entry_ + sizeof(store::EntryHeader),
+                                     &committed, sizeof(committed)),
+            rdma::OpStatus::kOk);
+  const uint64_t init = kStateInit;
+  ASSERT_EQ(cluster_->fabric().Write(0, entry_ + store::kEntryStateOffset,
+                                     &init, sizeof(init)),
+            rdma::OpStatus::kOk);
+  reader.join();
+  ASSERT_EQ(status, TxnStatus::kCommitted);
+  EXPECT_EQ(seen, committed);
+}
+
+TEST_F(LeaseProtocolTest, FallbackOnlyReadOnlyLeasesLocalRecord) {
+  ClusterConfig config;
+  config.htm_retry_limit = 0;  // the paper's Fig. 8: every record leased
+  SetUpCluster(config);
+  Worker worker(cluster_.get(), 0, 0);
+  ReadOnlyTransaction ro(&worker);
+  ro.AddRead(table_, 0);
+  ASSERT_EQ(ro.Execute(), TxnStatus::kCommitted);
+  EXPECT_TRUE(HasLease(State()));
+  EXPECT_EQ(ro.LeaseEndOf(table_, 0), LeaseEnd(State()));
+  EXPECT_GT(ro.LeaseEndOf(table_, 0), 0u);
+}
+
+TEST_F(LeaseProtocolTest, MixedReadOnlyLeasesOnlyTheRemoteRecord) {
+  ClusterConfig config;
+  SetUpCluster(config);
+  const uint64_t v = 5;
+  store::ClusterHashTable* remote = cluster_->hash_table(1, table_);
+  ASSERT_TRUE(remote->Insert(1, &v));
+  const uint64_t remote_entry = remote->FindEntry(1);
+  Worker worker(cluster_.get(), 0, 0);
+  ReadOnlyTransaction ro(&worker);
+  ro.AddRead(table_, 0);
+  ro.AddRead(table_, 1);
+  ASSERT_EQ(ro.Execute(), TxnStatus::kCommitted);
+  uint64_t a = 0;
+  uint64_t b = 0;
+  ASSERT_TRUE(ro.Get(table_, 0, &a));
+  ASSERT_TRUE(ro.Get(table_, 1, &b));
+  EXPECT_EQ(a, 1u);
+  EXPECT_EQ(b, 5u);
+  EXPECT_EQ(State(), kStateInit);
+  EXPECT_EQ(ro.LeaseEndOf(table_, 0), 0u);
+  const uint64_t remote_state =
+      htm::StrongLoad(remote->StatePtr(remote_entry));
+  EXPECT_TRUE(HasLease(remote_state));
+  EXPECT_EQ(ro.LeaseEndOf(table_, 1), LeaseEnd(remote_state));
 }
 
 TEST_F(LeaseProtocolTest, OwnerIdSurvivesInLockWord) {

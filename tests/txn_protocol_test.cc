@@ -342,6 +342,52 @@ TEST_F(TxnProtocolTest, ReadOnlySeesConsistentSnapshots) {
   EXPECT_FALSE(violated.load());
 }
 
+TEST_F(TxnProtocolTest, AllLocalReadOnlySeesConsistentSnapshots) {
+  SetUpCluster(SmallConfig(1));  // every record is local to both workers
+  const stat::Snapshot before = stat::Registry::Global().TakeSnapshot();
+  std::atomic<bool> stop{false};
+  std::atomic<bool> violated{false};
+  std::atomic<int> snapshots{0};
+
+  std::thread observer([&] {
+    Worker worker(cluster_.get(), 0, 1);
+    while (!stop.load(std::memory_order_acquire)) {
+      ReadOnlyTransaction ro(&worker);
+      for (uint64_t k = 0; k < 4; ++k) {
+        ro.AddRead(table_, k);
+      }
+      if (ro.Execute() != TxnStatus::kCommitted) {
+        continue;
+      }
+      uint64_t sum = 0;
+      for (uint64_t k = 0; k < 4; ++k) {
+        uint64_t v = 0;
+        ASSERT_TRUE(ro.Get(table_, k, &v));
+        sum += v;
+      }
+      if (sum != 4 * kInitialBalance) {
+        violated.store(true);
+      }
+      ++snapshots;
+    }
+  });
+
+  Worker worker(cluster_.get(), 0, 0);
+  Xoshiro256 rng(7);
+  for (int i = 0; i < 2000 || snapshots.load() < 200; ++i) {
+    const uint64_t from = rng.NextBounded(4);
+    const uint64_t to = (from + 1 + rng.NextBounded(3)) % 4;
+    ASSERT_EQ(Transfer(&worker, from, to, 1), TxnStatus::kCommitted);
+  }
+  stop.store(true);
+  observer.join();
+  const stat::Snapshot after = stat::Registry::Global().TakeSnapshot();
+  EXPECT_FALSE(violated.load());
+  EXPECT_GT(after.Counter("txn.readonly.htm_commit") -
+                before.Counter("txn.readonly.htm_commit"),
+            0u);
+}
+
 TEST_F(TxnProtocolTest, ReadOnlyMissingKey) {
   SetUpCluster(SmallConfig(2));
   Worker worker(cluster_.get(), 0, 0);
